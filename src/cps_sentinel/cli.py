@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import plantsim
+from . import dataio, plantsim
 from .artifact import load_pipeline, save_pipeline
 from .dataio import (
     LABEL_COLUMN,
@@ -86,64 +86,58 @@ def infer_schema(path: str) -> ChannelSchema:
     return ChannelSchema(names=tuple(names), kinds=(SENSOR,) * len(names))
 
 
+def _option(config: configparser.ConfigParser, section: str, key: str, default, cast):
+    """`cast` of `[section] key`, or `default` when the config does not set it."""
+    if section in config and key in config[section]:
+        return cast(config[section][key])
+    return default
+
+
 def _settings_from_config(config: configparser.ConfigParser) -> PipelineSettings:
-    fc = config["forecaster"] if "forecaster" in config else {}
-    det = config["detector"] if "detector" in config else {}
     base = PipelineSettings()
-
-    def fget(section, key, default, cast):
-        raw = section.get(key) if hasattr(section, "get") else None
-        return cast(raw) if raw is not None else default
-
     return PipelineSettings(
-        window=fget(fc, "window", base.window, int),
+        window=_option(config, "forecaster", "window", base.window, int),
         conv_filters=(
-            fget(fc, "conv1", base.conv_filters[0], int),
-            fget(fc, "conv2", base.conv_filters[1], int),
+            _option(config, "forecaster", "conv1", base.conv_filters[0], int),
+            _option(config, "forecaster", "conv2", base.conv_filters[1], int),
         ),
-        kernel_size=fget(fc, "kernel", base.kernel_size, int),
+        kernel_size=_option(config, "forecaster", "kernel", base.kernel_size, int),
         dense_units=(
-            fget(fc, "dense1", base.dense_units[0], int),
-            fget(fc, "dense2", base.dense_units[1], int),
+            _option(config, "forecaster", "dense1", base.dense_units[0], int),
+            _option(config, "forecaster", "dense2", base.dense_units[1], int),
         ),
-        dropout=fget(fc, "dropout", base.dropout, float),
-        learning_rate=fget(fc, "learning_rate", base.learning_rate, float),
-        detector=fget(det, "kind", base.detector, str),
-        beta=fget(det, "beta", base.beta, float),
-        lag=fget(det, "lag", base.lag, int),
-        nu=fget(det, "nu", base.nu, float),
-        gamma=fget(det, "gamma", base.gamma, float),
-        augment_fraction=fget(det, "augment_fraction", base.augment_fraction, float),
+        dropout=_option(config, "forecaster", "dropout", base.dropout, float),
+        learning_rate=_option(config, "forecaster", "learning_rate", base.learning_rate, float),
+        detector=_option(config, "detector", "kind", base.detector, str),
+        beta=_option(config, "detector", "beta", base.beta, float),
+        lag=_option(config, "detector", "lag", base.lag, int),
+        nu=_option(config, "detector", "nu", base.nu, float),
+        gamma=_option(config, "detector", "gamma", base.gamma, float),
+        augment_fraction=_option(
+            config, "detector", "augment_fraction", base.augment_fraction, float
+        ),
     )
 
 
 def _budget_from_config(config: configparser.ConfigParser) -> TrainConfig:
-    fc = config["forecaster"] if "forecaster" in config else {}
     base = TrainConfig()
-
-    def fget(key, default, cast):
-        raw = fc.get(key) if hasattr(fc, "get") else None
-        return cast(raw) if raw is not None else default
-
     return TrainConfig(
-        epochs=fget("epochs", base.epochs, int),
-        batch_size=fget("batch_size", base.batch_size, int),
-        learning_rate=base.learning_rate,
-        early_stop_patience=fget("patience", base.early_stop_patience, int),
-        validation_fraction=fget("validation_fraction", base.validation_fraction, float),
+        epochs=_option(config, "forecaster", "epochs", base.epochs, int),
+        batch_size=_option(config, "forecaster", "batch_size", base.batch_size, int),
+        early_stop_patience=_option(
+            config, "forecaster", "patience", base.early_stop_patience, int
+        ),
+        validation_fraction=_option(
+            config, "forecaster", "validation_fraction", base.validation_fraction, float
+        ),
     )
 
 
-def _pipeline_seed(config: configparser.ConfigParser) -> int:
-    if "seeds" in config and "pipeline" in config["seeds"]:
-        return config["seeds"].getint("pipeline")
-    return 0
-
-
 def _path_from_config(config: configparser.ConfigParser, key: str) -> str:
-    if "paths" not in config or key not in config["paths"]:
+    path = _option(config, "paths", key, None, str)
+    if path is None:
         raise ValueError(f"config is missing [paths] {key}")
-    return config["paths"][key]
+    return path
 
 
 def _history_text(history: TrainHistory) -> str:
@@ -158,22 +152,16 @@ def _history_text(history: TrainHistory) -> str:
 def _cmd_simulate(args) -> int:
     config = _read_config(args.config)
     plant, attacks = plantsim.load_plant_config(args.config)
-    sim = config["simulate"] if "simulate" in config else {}
-
-    def sget(key, default):
-        raw = sim.get(key) if hasattr(sim, "get") else None
-        return int(raw) if raw is not None else default
-
-    normal_steps = sget("normal_steps", 5000)
-    test_steps = sget("test_steps", 1000)
-    test_seed = sget("test_seed", plant.seed + 1)
+    normal_steps = _option(config, "simulate", "normal_steps", 5000, int)
+    test_steps = _option(config, "simulate", "test_steps", 1000, int)
+    test_seed = _option(config, "simulate", "test_seed", plant.seed + 1, int)
 
     os.makedirs(args.out, exist_ok=True)
     normal = plantsim.simulate_normal(plant, normal_steps)
-    plantsim.save(normal, os.path.join(args.out, "normal.csv"))
+    dataio.save_csv(normal, os.path.join(args.out, "normal.csv"))
     test = plantsim.simulate_normal(replace(plant, seed=test_seed), test_steps)
     test = plantsim.inject_attacks(test, attacks)
-    plantsim.save(test, os.path.join(args.out, "test.csv"))
+    dataio.save_csv(test, os.path.join(args.out, "test.csv"))
     print(
         f"wrote normal.csv ({normal_steps} rows) and test.csv "
         f"({test_steps} rows, {len(attacks)} attacks) to {args.out}"
@@ -188,10 +176,11 @@ def _cmd_train(args) -> int:
     frame = load_csv(train_path, infer_schema(train_path))
     settings = _settings_from_config(config)
     budget = _budget_from_config(config)
-    fitted = fit_pipeline(frame, settings, budget, seed=_pipeline_seed(config))
+    fitted = fit_pipeline(frame, settings, budget, seed=_option(config, "seeds", "pipeline", 0, int))
     save_pipeline(artifact_path, fitted)
-    if "paths" in config and "history_csv" in config["paths"]:
-        _write_text(config["paths"]["history_csv"], _history_text(fitted.history))
+    history_path = _option(config, "paths", "history_csv", None, str)
+    if history_path is not None:
+        _write_text(history_path, _history_text(fitted.history))
     print(
         f"trained {settings.detector} pipeline on {len(frame)} rows, "
         f"stopped after epoch {fitted.history.stopped_epoch}, "
@@ -271,26 +260,20 @@ def _cmd_optimize(args) -> int:
     train_frame = load_csv(train_path, infer_schema(train_path))
     validation_frame = load_csv(validation_path, infer_schema(validation_path))
 
-    ga = config["ga"] if "ga" in config else {}
-
-    def gget(key, default, cast):
-        raw = ga.get(key) if hasattr(ga, "get") else None
-        return cast(raw) if raw is not None else default
-
     ga_config = GaConfig(
-        population_size=gget("population_size", 20, int),
-        generations=gget("generations", 47, int),
-        tournament_size=gget("tournament_size", 3, int),
-        crossover_rate=gget("crossover_rate", 0.9, float),
-        mutation_rate=gget("mutation_rate", 0.1, float),
-        elitism_count=gget("elitism_count", 1, int),
-        seed=gget("seed", 0, int),
+        population_size=_option(config, "ga", "population_size", 20, int),
+        generations=_option(config, "ga", "generations", 47, int),
+        tournament_size=_option(config, "ga", "tournament_size", 3, int),
+        crossover_rate=_option(config, "ga", "crossover_rate", 0.9, float),
+        mutation_rate=_option(config, "ga", "mutation_rate", 0.1, float),
+        elitism_count=_option(config, "ga", "elitism_count", 1, int),
+        seed=_option(config, "ga", "seed", 0, int),
     )
-    threads = gget("threads", None, int)
+    threads = _option(config, "ga", "threads", None, int)
 
     full_budget = _budget_from_config(config)
     # Evolution runs on a reduced epoch budget; the winner retrains in full.
-    ga_epochs = gget("budget_epochs", 20, int)
+    ga_epochs = _option(config, "ga", "budget_epochs", 20, int)
     ga_budget = replace(
         full_budget,
         epochs=ga_epochs,
@@ -299,10 +282,12 @@ def _cmd_optimize(args) -> int:
     evaluator = make_evaluator(train_frame, validation_frame, ga_budget, seed=ga_config.seed)
     result = evolve(ga_config, evaluator, threads=threads)
 
-    if "paths" in config and "evolution_log" in config["paths"]:
-        _write_text(config["paths"]["evolution_log"], evolution_log_text(result))
-    if "paths" in config and "ga_history_csv" in config["paths"]:
-        _write_text(config["paths"]["ga_history_csv"], history_csv(result))
+    log_path = _option(config, "paths", "evolution_log", None, str)
+    if log_path is not None:
+        _write_text(log_path, evolution_log_text(result))
+    history_path = _option(config, "paths", "ga_history_csv", None, str)
+    if history_path is not None:
+        _write_text(history_path, history_csv(result))
 
     best = result.best
     fitted = fit_pipeline(

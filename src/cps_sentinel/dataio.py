@@ -98,9 +98,6 @@ class TimeSeriesFrame:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def row_count(self) -> int:
-        return len(self.timestamps)
-
     def labels_at(self, indices: np.ndarray) -> np.ndarray:
         """Labels for absolute timesteps (positions relative to first row)."""
         rows = np.asarray(indices, dtype=np.int64) - int(self.timestamps[0])
@@ -254,11 +251,6 @@ def apply_minmax(scaler: MinMaxScaler, frame: TimeSeriesFrame) -> TimeSeriesFram
         values=scaled,
         labels=frame.labels,
     )
-
-
-def invert_minmax(scaler: MinMaxScaler, values: np.ndarray) -> np.ndarray:
-    """Inverse of apply_minmax on in-range values of non-degenerate channels."""
-    return np.asarray(values) * (scaler.maxs - scaler.mins) + scaler.mins
 
 
 def make_windows(frame: TimeSeriesFrame, w: int) -> WindowBatch:

@@ -90,6 +90,11 @@ class OcsvmModel:
     rho: float
     sample_weights: np.ndarray
 
+    def __post_init__(self):
+        n = len(self.alphas)
+        if n == 0 or np.shape(self.support_vectors) != (n, 2) or np.shape(self.alphas) != (n,):
+            raise ValueError("one-class SVM needs n >= 1 2-D support vectors with one alpha each")
+
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * ||a_i - b_j||^2) for row sets a, b."""
@@ -225,6 +230,10 @@ class KmeansModel:
     # Objective value after each Lloyd update; non-increasing by construction.
     inertia_trace: np.ndarray | None = None
 
+    def __post_init__(self):
+        if np.shape(self.centroids) != (2, 2) or self.attack_centroid_index not in (0, 1):
+            raise ValueError("k-means needs two 2-D centroids and an attack index of 0 or 1")
+
 
 def _kmeans_pp_init(points: np.ndarray, rng: Rng) -> np.ndarray:
     """k-means++ for k = 2: uniform first pick, distance-squared second."""
@@ -336,55 +345,3 @@ def verdict_csv(verdicts: VerdictSeries) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def detector_state(model) -> tuple[dict, dict]:
-    """(json-safe metadata, array map) with a detector-kind tag."""
-    if isinstance(model, ThresholdModel):
-        return {"kind": THRESHOLD, "delta": model.delta, "beta": model.beta}, {}
-    if isinstance(model, OcsvmModel):
-        meta = {"kind": OCSVM, "nu": model.nu, "gamma": model.gamma, "rho": model.rho}
-        arrays = {
-            "support_vectors": model.support_vectors,
-            "alphas": model.alphas,
-            "sample_weights": model.sample_weights,
-        }
-        return meta, arrays
-    if isinstance(model, KmeansModel):
-        meta = {
-            "kind": KMEANS,
-            "attack_centroid_index": model.attack_centroid_index,
-            "inertia": model.inertia,
-            "n_iter": model.n_iter,
-            "max_iter": model.max_iter,
-        }
-        arrays = {"centroids": model.centroids}
-        if model.inertia_trace is not None:
-            arrays["inertia_trace"] = model.inertia_trace
-        return meta, arrays
-    raise ValueError(f"unknown detector {model!r}")
-
-
-def detector_from_state(meta: dict, arrays: dict):
-    kind = meta["kind"]
-    if kind == THRESHOLD:
-        return ThresholdModel(delta=meta["delta"], beta=meta["beta"])
-    if kind == OCSVM:
-        return OcsvmModel(
-            nu=meta["nu"],
-            gamma=meta["gamma"],
-            support_vectors=arrays["support_vectors"],
-            alphas=arrays["alphas"],
-            rho=meta["rho"],
-            sample_weights=arrays["sample_weights"],
-        )
-    if kind == KMEANS:
-        return KmeansModel(
-            centroids=arrays["centroids"],
-            attack_centroid_index=int(meta["attack_centroid_index"]),
-            inertia=meta["inertia"],
-            n_iter=int(meta["n_iter"]),
-            max_iter=int(meta["max_iter"]),
-            inertia_trace=arrays.get("inertia_trace"),
-        )
-    raise ValueError(f"unknown detector kind {kind!r}")

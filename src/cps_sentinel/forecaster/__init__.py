@@ -18,16 +18,9 @@ from .model import (
     TrainConfig,
     TrainHistory,
     adam_step,
-    backward,
     build_model,
     default_stack,
-    load_model,
-    mae_loss,
-    model_from_state,
-    model_state,
     predict_series,
-    save_model,
-    spec_from_dict,
     train,
 )
 
@@ -47,15 +40,8 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "adam_step",
-    "backward",
     "build_model",
     "default_stack",
-    "load_model",
-    "mae_loss",
-    "model_from_state",
-    "model_state",
     "predict_series",
-    "save_model",
-    "spec_from_dict",
     "train",
 ]

@@ -1,11 +1,10 @@
-"""Next-step forecaster: model assembly, training loop, Adam, serialization."""
+"""Next-step forecaster: model assembly, training loop, Adam."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataio import ChannelSchema, TimeSeriesFrame, WindowBatch, make_windows
+from ..dataio import TimeSeriesFrame, WindowBatch, make_windows
 from ..rng import Rng, derive_seed
 from .layers import (
     SIGMOID,
@@ -25,7 +24,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-FORMAT_VERSION = 1
 PREDICT_CHUNK = 4096
 
 
@@ -114,6 +112,12 @@ def default_stack(
 class CnnModel:
     """Ordered layer stack with parameters and Adam state.
 
+    The parameters and Adam's two moments each live in one flat float64
+    vector (`flat_params`, `flat_adam_m`, `flat_adam_v`), concatenated in
+    layer order. `params`, `adam_m` and `adam_v` are per-tensor views into
+    them, and every layer's `weights` and `bias` are the same views, so
+    writing through any of them writes the flat vector.
+
     Training (`train`, `adam_step`) mutates the instance and needs external
     synchronization; `forward`/`predict_series` on a model nobody is training
     are pure and thread-safe.
@@ -123,9 +127,22 @@ class CnnModel:
         self.input_shape = input_shape
         self.layers = layers
         self.specs = specs
-        self.params = [p for layer in layers for p in layer.params]
-        self.adam_m = [np.zeros_like(p) for p in self.params]
-        self.adam_v = [np.zeros_like(p) for p in self.params]
+        tensors = [p for layer in layers for p in layer.params]
+        offsets = np.cumsum([p.size for p in tensors])[:-1]
+
+        def views(flat):
+            return [v.reshape(p.shape) for v, p in zip(np.split(flat, offsets), tensors)]
+
+        self.flat_params = np.concatenate([p.ravel() for p in tensors])
+        self.flat_adam_m = np.zeros_like(self.flat_params)
+        self.flat_adam_v = np.zeros_like(self.flat_params)
+        self.params = views(self.flat_params)
+        self.adam_m = views(self.flat_adam_m)
+        self.adam_v = views(self.flat_adam_v)
+        shared = iter(self.params)
+        for layer in layers:
+            if layer.params:
+                layer.weights, layer.bias = next(shared), next(shared)
         self.adam_t = 0
 
     @property
@@ -187,10 +204,6 @@ class CnnModel:
     def copy_params(self) -> list[np.ndarray]:
         return [p.copy() for p in self.params]
 
-    def set_params(self, snapshot: list[np.ndarray]) -> None:
-        for p, s in zip(self.params, snapshot):
-            p[...] = s
-
 
 def build_model(w: int, channels: int, specs: list, seed: int = 0) -> CnnModel:
     """Assemble and initialize the stack, validating shape composition.
@@ -237,36 +250,24 @@ def build_model(w: int, channels: int, specs: list, seed: int = 0) -> CnnModel:
     return CnnModel(input_shape=(w, channels), layers=layers, specs=list(specs))
 
 
-def mae_loss(prediction: np.ndarray, target: np.ndarray) -> float:
-    """Mean over channels of |prediction - target|."""
-    p = np.asarray(prediction, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    return float(np.mean(np.abs(p - t)))
-
-
-def backward(model: CnnModel, window: np.ndarray, target: np.ndarray) -> list[np.ndarray]:
-    """Gradient of the MAE at one window/target pair, dropout off."""
-    _, grads = model.loss_and_grads(window, target, training=False)
-    return grads
-
-
 def adam_step(model: CnnModel, grads: list[np.ndarray], learning_rate: float) -> None:
-    """Standard bias-corrected Adam update; increments the step counter."""
-    if len(grads) != len(model.params):
+    """Standard bias-corrected Adam update; increments the step counter.
+
+    `grads` holds one gradient per entry of `model.params`, in that order.
+    """
+    if [np.shape(g) for g in grads] != [p.shape for p in model.params]:
         raise ValueError("gradient list does not match parameter list")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient passed to adam_step")
+    g = np.concatenate([np.ravel(x) for x in grads])
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError("non-finite gradient passed to adam_step")
     model.adam_t += 1
     t = model.adam_t
-    for p, g, m, v in zip(model.params, grads, model.adam_m, model.adam_v):
-        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = model.flat_adam_m, model.flat_adam_v
+    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    model.flat_params -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _batched_mae(model: CnnModel, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -298,7 +299,7 @@ def train(model: CnnModel, batch: WindowBatch, config: TrainConfig) -> TrainHist
     rng = Rng(derive_seed(config.seed, 0xD0))
     stopper = EarlyStopper(config.early_stop_patience)
     history = TrainHistory()
-    best_params = model.copy_params()
+    best_params = model.flat_params.copy()
     order = np.arange(train_n)
 
     for _ in range(config.epochs):
@@ -318,11 +319,11 @@ def train(model: CnnModel, batch: WindowBatch, config: TrainConfig) -> TrainHist
             raise FloatingPointError("training diverged: non-finite validation loss")
         history.val_loss.append(val_loss)
         if stopper.update(val_loss):
-            best_params = model.copy_params()
+            best_params = model.flat_params.copy()
         if stopper.should_stop:
             break
 
-    model.set_params(best_params)
+    model.flat_params[...] = best_params
     return history
 
 
@@ -343,92 +344,3 @@ def predict_series(
         chunk = slice(lo, lo + PREDICT_CHUNK)
         preds[chunk] = model.forward(batch.inputs[chunk], training=False)
     return preds, batch.target_indices
-
-
-def _spec_to_dict(spec) -> dict:
-    if isinstance(spec, Conv1DSpec):
-        return {
-            "kind": "conv1d",
-            "filters": spec.filters,
-            "kernel_size": spec.kernel_size,
-            "activation": spec.activation,
-        }
-    if isinstance(spec, MaxPool1DSpec):
-        return {"kind": "maxpool1d", "pool": spec.pool}
-    if isinstance(spec, FlattenSpec):
-        return {"kind": "flatten"}
-    if isinstance(spec, DenseSpec):
-        return {
-            "kind": "dense",
-            "units": spec.units,
-            "activation": spec.activation,
-            "dropout": spec.dropout,
-        }
-    raise ValueError(f"unknown spec {spec!r}")
-
-
-def spec_from_dict(d: dict):
-    kind = d["kind"]
-    if kind == "conv1d":
-        return Conv1DSpec(
-            filters=d["filters"], kernel_size=d["kernel_size"], activation=d["activation"]
-        )
-    if kind == "maxpool1d":
-        return MaxPool1DSpec(pool=d["pool"])
-    if kind == "flatten":
-        return FlattenSpec()
-    if kind == "dense":
-        return DenseSpec(units=d["units"], activation=d["activation"], dropout=d["dropout"])
-    raise ValueError(f"unknown layer kind {kind!r}")
-
-
-def model_state(model: CnnModel, schema: ChannelSchema | None = None) -> tuple[dict, dict]:
-    """(json-safe metadata, array map) pair describing the model bit-exactly."""
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "input_shape": list(model.input_shape),
-        "layer_specs": [_spec_to_dict(s) for s in model.specs],
-        "adam_t": model.adam_t,
-        "schema": None
-        if schema is None
-        else {"names": list(schema.names), "kinds": list(schema.kinds)},
-    }
-    arrays = {}
-    for i, p in enumerate(model.params):
-        arrays[f"param_{i}"] = p
-        arrays[f"adam_m_{i}"] = model.adam_m[i]
-        arrays[f"adam_v_{i}"] = model.adam_v[i]
-    return meta, arrays
-
-
-def model_from_state(meta: dict, arrays: dict) -> CnnModel:
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {meta.get('format_version')}")
-    w, channels = meta["input_shape"]
-    specs = [spec_from_dict(d) for d in meta["layer_specs"]]
-    model = build_model(w, channels, specs, seed=0)
-    for i in range(len(model.params)):
-        model.params[i][...] = arrays[f"param_{i}"]
-        model.adam_m[i][...] = arrays[f"adam_m_{i}"]
-        model.adam_v[i][...] = arrays[f"adam_v_{i}"]
-    model.adam_t = int(meta["adam_t"])
-    return model
-
-
-def save_model(model: CnnModel, path, schema: ChannelSchema | None = None) -> None:
-    """Single-file .npz artifact: metadata plus exact parameter tensors."""
-    meta, arrays = model_state(model, schema)
-    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-
-
-def load_model(path) -> tuple[CnnModel, ChannelSchema | None]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]))
-        arrays = {k: data[k] for k in data.files if k != "meta"}
-    model = model_from_state(meta, arrays)
-    schema = None
-    if meta.get("schema"):
-        schema = ChannelSchema(
-            names=tuple(meta["schema"]["names"]), kinds=tuple(meta["schema"]["kinds"])
-        )
-    return model, schema

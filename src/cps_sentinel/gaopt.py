@@ -234,29 +234,6 @@ def _evaluate_raising(
     return report.f1
 
 
-def evaluate(
-    genome: Genome,
-    train_frame: TimeSeriesFrame,
-    validation_frame: TimeSeriesFrame,
-    budget: TrainConfig | None = None,
-    seed: int = 0,
-) -> float:
-    """Fitness = F1 on the labeled validation frame; failures become 0.
-
-    Any pipeline construction or training failure is logged and mapped to
-    fitness 0 so evolution continues.
-    """
-    if np.any(train_frame.labels):
-        raise ValueError("training frame contains attack-labeled rows")
-    if not np.any(validation_frame.labels) or np.all(validation_frame.labels):
-        raise ValueError("validation frame must contain both normal and attack rows")
-    try:
-        return _evaluate_raising(genome, train_frame, validation_frame, budget, seed)
-    except Exception as exc:
-        logger.warning("genome %s failed: %s", genome.key(), exc)
-        return 0.0
-
-
 def make_evaluator(
     train_frame: TimeSeriesFrame,
     validation_frame: TimeSeriesFrame,

@@ -1,7 +1,5 @@
 """Confusion-matrix metrics for per-timestep binary verdicts (attack = positive)."""
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,22 +72,3 @@ def report_text(counts: ConfusionCounts, report: MetricsReport) -> str:
     ]
     return "\n".join(lines) + "\n"
 
-
-def report_csv(counts: ConfusionCounts, report: MetricsReport) -> str:
-    """Header plus one CSV row of the same eight fields."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tp", "fp", "tn", "fn", "accuracy", "precision", "recall", "f1"])
-    writer.writerow(
-        [
-            counts.tp,
-            counts.fp,
-            counts.tn,
-            counts.fn,
-            repr(report.accuracy),
-            repr(report.precision),
-            repr(report.recall),
-            repr(report.f1),
-        ]
-    )
-    return buf.getvalue()

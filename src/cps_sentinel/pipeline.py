@@ -18,7 +18,6 @@ from .dataio import (
 )
 from .detectors import (
     DETECTOR_KINDS,
-    KMEANS,
     OCSVM,
     THRESHOLD,
     VerdictSeries,

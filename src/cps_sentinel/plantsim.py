@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio
 from .dataio import ACTUATOR, SENSOR, ChannelSchema, TimeSeriesFrame
-from .rng import Rng, derive_seed
+from .rng import Rng
 
 CHANNELS_PER_STAGE = 4
 LEVEL, FLOW, VALVE, PUMP = "level", "flow", "valve", "pump"
@@ -209,11 +208,6 @@ def inject_attacks(frame: TimeSeriesFrame, specs: list[AttackSpec]) -> TimeSerie
         values=values,
         labels=labels,
     )
-
-
-def save(frame: TimeSeriesFrame, path) -> None:
-    """Write the frame in the shared CSV wire format."""
-    dataio.save_csv(frame, path)
 
 
 def _per_stage(raw: str, stages: int, key: str) -> tuple[float, ...]:

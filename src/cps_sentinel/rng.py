@@ -42,10 +42,6 @@ class Rng:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
 
-    def fork(self, tag: int) -> "Rng":
-        """Child generator whose stream is independent of later parent draws."""
-        return Rng(derive_seed(self._state, tag))
-
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
         return _mix(self._state)
@@ -99,6 +95,3 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def choice(self, items):
-        return items[self.randint(len(items))]

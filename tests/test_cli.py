@@ -1,3 +1,4 @@
+import json
 import shutil
 import subprocess
 
@@ -162,6 +163,65 @@ def test_detect_rejects_mismatched_schema(workspace, tmp_path, capsys):
     ])
     assert code == 2
     assert "header" in capsys.readouterr().err
+
+
+def _drop(mapping, key):
+    del mapping[key]
+
+
+# name -> (edit of the artifact's metadata and arrays, expected message fragment)
+BROKEN_ARTIFACTS = {
+    "missing settings key": (
+        lambda meta, arrays: _drop(meta["settings"], "window"), "settings.window is missing"
+    ),
+    "missing parameter array": (
+        lambda meta, arrays: _drop(arrays, "model.params"), "model.params must be"
+    ),
+    "(1,1,1) array for the parameters": (
+        lambda meta, arrays: arrays.update({"model.params": np.zeros((1, 1, 1))}), "of shape"
+    ),
+    "flat vector of the wrong length": (
+        lambda meta, arrays: arrays.update({"model.adam_v": arrays["model.adam_v"][:-1]}),
+        "model.adam_v must be",
+    ),
+    "unknown detector kind": (
+        lambda meta, arrays: meta["settings"].update(detector="oracle"), "unknown detector"
+    ),
+    "v1 artifact": (
+        lambda meta, arrays: meta.update(format_version=1), "unsupported artifact format version 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_ARTIFACTS))
+def test_detect_rejects_a_broken_artifact_in_one_line(workspace, tmp_path, capsys, case):
+    edit, message = BROKEN_ARTIFACTS[case]
+    with np.load(workspace / "model.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays.pop("meta")))
+    edit(meta, arrays)
+    broken = tmp_path / "broken.npz"
+    np.savez(broken, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    code = main([
+        "detect", "--model", str(broken),
+        "--data", str(workspace / "data" / "test.csv"), "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("cps-sentinel: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("content", [b"", b"not an artifact\n", b"PK\x03\x04truncated"])
+def test_detect_rejects_a_file_that_is_not_an_artifact(workspace, tmp_path, capsys, content):
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(content)
+    code = main([
+        "detect", "--model", str(bad),
+        "--data", str(workspace / "data" / "test.csv"), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "not an artifact" in capsys.readouterr().err
 
 
 def test_evaluate_verdicts_against_themselves(tmp_path, capsys):

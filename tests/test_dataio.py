@@ -8,7 +8,6 @@ from cps_sentinel.dataio import (
     TimeSeriesFrame,
     apply_minmax,
     fit_minmax,
-    invert_minmax,
     load_csv,
     make_windows,
     save_csv,
@@ -190,14 +189,6 @@ def test_apply_minmax_extremes_map_to_zero_and_one():
     for c in range(4):
         assert scaled.values[:, c].min() == 0.0
         assert scaled.values[:, c].max() == 1.0
-
-
-def test_invert_minmax_recovers_inputs():
-    frame = random_frame(40, 3, seed=4)
-    scaler = fit_minmax(frame)
-    scaled = apply_minmax(scaler, frame)
-    back = invert_minmax(scaler, scaled.values)
-    np.testing.assert_allclose(back, frame.values, rtol=1e-9)
 
 
 def test_apply_minmax_schema_mismatch():

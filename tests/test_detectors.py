@@ -1,7 +1,11 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import cps_sentinel.detectors as detectors
+from cps_sentinel.artifact import _decode, _encode
 from cps_sentinel.detectors import (
     KKT_TOL,
     KmeansModel,
@@ -11,8 +15,6 @@ from cps_sentinel.detectors import (
     VerdictSeries,
     align_to_series,
     default_weights,
-    detector_from_state,
-    detector_state,
     kmeans_detect,
     kmeans_fit,
     ocsvm_decision,
@@ -398,24 +400,46 @@ def test_verdict_csv_format():
     assert verdict_csv(verdicts) == "index,flag,score\n3,0,0.25\n4,1,-1.5\n"
 
 
+def round_trip(model):
+    """`model` through the artifact's field codec and a JSON text."""
+    arrays = {}
+    meta = json.loads(json.dumps(_encode(model, "detector", arrays)))
+    return _decode(type(model), meta, "detector", arrays)
+
+
 def test_detector_state_round_trips():
     threshold = ThresholdModel(delta=0.7, beta=1.3)
-    back = detector_from_state(*detector_state(threshold))
+    back = round_trip(threshold)
     assert back == threshold
 
     rng = Rng(15)
     points = np.abs(blob(rng, (0.5, 0.5), 0.2, 50))
     svm = ocsvm_fit(embedding_from(points), nu=0.2, gamma=1.0)
-    back = detector_from_state(*detector_state(svm))
+    back = round_trip(svm)
     assert back.nu == svm.nu and back.gamma == svm.gamma and back.rho == svm.rho
     np.testing.assert_array_equal(back.support_vectors, svm.support_vectors)
     np.testing.assert_array_equal(back.alphas, svm.alphas)
+    np.testing.assert_array_equal(back.sample_weights, svm.sample_weights)
 
     kmeans = kmeans_fit(mixed_blob_embedding(seed=7), seed=0)
-    back = detector_from_state(*detector_state(kmeans))
+    back = round_trip(kmeans)
     np.testing.assert_array_equal(back.centroids, kmeans.centroids)
     assert back.attack_centroid_index == kmeans.attack_centroid_index
+    assert (back.inertia, back.n_iter, back.max_iter) == (
+        kmeans.inertia, kmeans.n_iter, kmeans.max_iter
+    )
     np.testing.assert_array_equal(back.inertia_trace, kmeans.inertia_trace)
+    assert round_trip(replace(kmeans, inertia_trace=None)).inertia_trace is None
 
-    with pytest.raises(ValueError, match="unknown detector kind"):
-        detector_from_state({"kind": "oracle"}, {})
+
+def test_fitted_models_reject_malformed_arrays():
+    svm = ocsvm_fit(embedding_from(np.abs(blob(Rng(15), (0.5, 0.5), 0.2, 20))), 0.2, 1.0)
+    with pytest.raises(ValueError, match="support vectors"):
+        replace(svm, alphas=svm.alphas[:-1])
+    with pytest.raises(ValueError, match="support vectors"):
+        replace(svm, support_vectors=svm.support_vectors[:, :1])
+    kmeans = kmeans_fit(mixed_blob_embedding(seed=7), seed=0)
+    with pytest.raises(ValueError, match="centroids"):
+        replace(kmeans, centroids=kmeans.centroids[:1])
+    with pytest.raises(ValueError, match="attack index"):
+        replace(kmeans, attack_centroid_index=2)

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from cps_sentinel.artifact import _decode_model, _encode_model
 from cps_sentinel.forecaster import (
     Conv1DSpec,
     DenseSpec,
@@ -13,12 +16,7 @@ from cps_sentinel.forecaster import (
     build_model,
     default_stack,
     glorot_uniform,
-    load_model,
-    mae_loss,
-    model_from_state,
-    model_state,
     predict_series,
-    save_model,
     train,
 )
 from cps_sentinel.forecaster.layers import (
@@ -169,17 +167,6 @@ def test_dropout_scales_kept_units():
     np.testing.assert_array_equal(out_eval, np.full((1, 8), np.tanh(1.0)))
 
 
-def test_mae_loss_examples():
-    assert mae_loss([1.0, 2.0], [2.0, 4.0]) == 1.5
-    assert mae_loss([3.0], [3.0]) == 0.0
-    rng = Rng(2)
-    p = rng.uniform_array(5)
-    t = rng.uniform_array(5)
-    assert mae_loss(p, t) == pytest.approx(sum(abs(a - b) for a, b in zip(p, t)) / 5)
-    with pytest.raises(ValueError, match="shape"):
-        mae_loss([1.0], [1.0, 2.0])
-
-
 def test_adam_first_step_closed_form():
     model = build_model(4, 2, SMALL_STACK, seed=1)
     before = model.copy_params()
@@ -210,6 +197,53 @@ def test_adam_twin_models_stay_identical():
         adam_step(b, grads, 0.01)
     for pa, pb in zip(a.params, b.params):
         np.testing.assert_array_equal(pa, pb)
+
+
+def test_adam_step_matches_the_per_tensor_update():
+    """The flat update equals Adam written tensor by tensor, bit for bit."""
+    model = build_model(4, 2, SMALL_STACK, seed=9)
+    params = model.copy_params()
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    rng = Rng(4)
+    for t in range(1, 6):
+        grads = [rng.uniform_array(p.size).reshape(p.shape) - 0.5 for p in params]
+        adam_step(model, grads, 0.01)
+        for p, g, m, v in zip(params, grads, ms, vs):
+            m[...] = 0.9 * m + (1.0 - 0.9) * g
+            v[...] = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            p -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    for got, want in zip((model.params, model.adam_m, model.adam_v), (params, ms, vs)):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_parameters_are_views_of_one_flat_vector():
+    model = build_model(4, 2, SMALL_STACK, seed=3)
+    sizes = [p.size for p in model.params]
+    assert model.flat_params.shape == model.flat_adam_m.shape == (sum(sizes),)
+    np.testing.assert_array_equal(
+        model.flat_params, np.concatenate([p.ravel() for p in model.params])
+    )
+    conv = model.layers[0]
+    assert conv.weights is model.params[0] and conv.bias is model.params[1]
+    model.flat_params[0] = 42.0
+    assert conv.weights.flat[0] == 42.0
+    model.adam_v[-1][...] = 7.0
+    assert model.flat_adam_v[-1] == 7.0
+
+
+def test_adam_rejects_mismatched_gradients():
+    model = build_model(4, 2, SMALL_STACK, seed=1)
+    grads = [np.zeros_like(p) for p in model.params]
+    with pytest.raises(ValueError, match="gradient list"):
+        adam_step(model, grads[:-1], 0.1)
+    grads[0] = np.zeros(1)
+    with pytest.raises(ValueError, match="gradient list"):
+        adam_step(model, grads, 0.1)
+    assert model.adam_t == 0
 
 
 def test_adam_rejects_non_finite_gradients():
@@ -375,22 +409,18 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     model = build_model(4, 2, SMALL_STACK, seed=6)
     train(model, batch, TrainConfig(epochs=3, batch_size=8, early_stop_patience=3))
     path = tmp_path / "model.npz"
-    schema = frame.schema
-    save_model(model, path, schema)
-    loaded, loaded_schema = load_model(path)
-    assert loaded_schema == schema
+    arrays = {}
+    meta = _encode_model(model, arrays)
+    np.savez(path, **arrays)
+    with np.load(path) as data:
+        loaded = _decode_model(json.loads(json.dumps(meta)), dict(data))
+    assert loaded.specs == model.specs
     assert loaded.adam_t == model.adam_t
     for a, b in zip(model.params, loaded.params):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(model.adam_m, loaded.adam_m):
         np.testing.assert_array_equal(a, b)
+    for a, b in zip(model.adam_v, loaded.adam_v):
+        np.testing.assert_array_equal(a, b)
     x = batch.inputs[:5]
     np.testing.assert_array_equal(model.forward(x), loaded.forward(x))
-
-
-def test_model_state_rejects_other_versions():
-    model = build_model(4, 2, SMALL_STACK, seed=0)
-    meta, arrays = model_state(model)
-    meta["format_version"] = 99
-    with pytest.raises(ValueError, match="format version"):
-        model_from_state(meta, arrays)

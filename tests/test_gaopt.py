@@ -13,7 +13,6 @@ from cps_sentinel.gaopt import (
     GeneSpec,
     Genome,
     crossover,
-    evaluate,
     evolution_log_text,
     evolve,
     genome_seed,
@@ -250,16 +249,16 @@ def test_evaluate_precondition_errors():
     train, validation = labeled_frames()
     attacked_train = make_frame(train.values, labels=validation.labels)
     with pytest.raises(ValueError, match="attack-labeled"):
-        evaluate(DEFAULT_GENOME, attacked_train, validation)
+        make_evaluator(attacked_train, validation)
     with pytest.raises(ValueError, match="both normal and attack"):
-        evaluate(DEFAULT_GENOME, train, train)
+        make_evaluator(train, train)
 
 
 def test_invalid_genome_maps_to_zero_fitness(caplog):
     train, validation = labeled_frames()
     bad = Genome(window=10)
     with caplog.at_level(logging.WARNING, logger="cps_sentinel.gaopt"):
-        fitness = evaluate(bad, train, validation)
+        fitness = make_evaluator(train, validation)(bad)
     assert fitness == 0.0
     assert any("divisible by 4" in r.message for r in caplog.records)
 

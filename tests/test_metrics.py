@@ -4,7 +4,6 @@ import pytest
 from cps_sentinel.detectors import VerdictSeries
 from cps_sentinel.metrics import (
     ConfusionCounts,
-    report_csv,
     report_from_counts,
     report_text,
     score,
@@ -106,15 +105,6 @@ def test_report_text_format():
         "tp 2\nfp 1\ntn 6\nfn 1\n"
         "accuracy 0.8\nprecision 0.6666666666666666\n"
         "recall 0.6666666666666666\nf1 0.6666666666666666\n"
-    )
-
-
-def test_report_csv_format():
-    counts = ConfusionCounts(tp=1, fp=0, tn=3, fn=0)
-    text = report_csv(counts, report_from_counts(counts))
-    assert text == (
-        "tp,fp,tn,fn,accuracy,precision,recall,f1\n"
-        "1,0,3,0,1.0,1.0,1.0,1.0\n"
     )
 
 

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cps_sentinel.artifact import load_pipeline, save_pipeline, settings_from_dict
+from cps_sentinel.artifact import _decode, _encode, load_pipeline, save_pipeline
 from cps_sentinel.detectors import KMEANS, OCSVM, THRESHOLD, KmeansModel, OcsvmModel
 from cps_sentinel.forecaster import TrainConfig
 from cps_sentinel.pipeline import (
@@ -132,6 +133,15 @@ def test_artifact_round_trip_reproduces_verdicts(tmp_path, kind):
 
     path = tmp_path / "pipeline.npz"
     save_pipeline(path, fitted)
+    detector_arrays = {
+        THRESHOLD: set(),
+        OCSVM: {"detector.support_vectors", "detector.alphas", "detector.sample_weights"},
+        KMEANS: {"detector.centroids", "detector.inertia_trace"},
+    }
+    with np.load(path) as data:
+        assert set(data.files) == {
+            "meta", "scaler.mins", "scaler.maxs", "model.params", "model.adam_m", "model.adam_v",
+        } | detector_arrays[kind]
     loaded = load_pipeline(path)
     assert loaded.settings == fitted.settings
     assert loaded.schema == fitted.schema
@@ -150,11 +160,17 @@ def test_artifact_round_trip_reproduces_verdicts(tmp_path, kind):
 def test_settings_round_trip_through_dict():
     settings = small_settings(detector=OCSVM, beta=2.25, lag=3, nu=0.1,
                               gamma=10.0, augment_fraction=0.4)
-    from cps_sentinel.artifact import _settings_to_dict
-
-    assert settings_from_dict(_settings_to_dict(settings)) == settings
+    assert _decode(PipelineSettings, _encode(settings, "settings", {}), "settings", {}) == settings
     # The dict is JSON-safe.
-    assert settings_from_dict(json.loads(json.dumps(_settings_to_dict(settings)))) == settings
+    meta = json.loads(json.dumps(_encode(settings, "settings", {})))
+    assert _decode(PipelineSettings, meta, "settings", {}) == settings
+
+
+def test_save_pipeline_rejects_a_detector_of_another_kind(tmp_path):
+    fitted = fit_pipeline(random_frame(60, 2, seed=50), small_settings(), budget=TINY_BUDGET)
+    mixed = replace(fitted, settings=replace(fitted.settings, detector=KMEANS))
+    with pytest.raises(ValueError, match="kmeans pipeline holds a ThresholdModel"):
+        save_pipeline(tmp_path / "mixed.npz", mixed)
 
 
 def test_load_pipeline_rejects_other_format_versions(tmp_path):

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from cps_sentinel.dataio import ACTUATOR, SENSOR, load_csv
+from cps_sentinel.dataio import ACTUATOR, SENSOR, load_csv, save_csv
 from cps_sentinel.plantsim import (
     AttackSpec,
     PlantConfig,
     channel_index,
     inject_attacks,
     load_plant_config,
-    save,
     simulate_normal,
 )
 
@@ -222,7 +221,7 @@ def test_save_round_trip_with_labels(tmp_path):
         [AttackSpec("SSSP", start=50, duration=30, targets=((0, "level"),))],
     )
     path = tmp_path / "trace.csv"
-    save(attacked, path)
+    save_csv(attacked, path)
     text = path.read_text()
     assert ",Attack\n" in text and ",Normal\n" in text
     back = load_csv(path, attacked.schema)

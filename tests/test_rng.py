@@ -87,16 +87,3 @@ def test_derive_seed_order_sensitive():
     assert derive_seed(1, 2) == derive_seed(1, 2)
     assert derive_seed(5) != derive_seed(5, 0)
 
-
-def test_fork_streams_do_not_collide():
-    parent = Rng(21)
-    child = parent.fork(0)
-    other = parent.fork(1)
-    assert child.next_u64() != other.next_u64()
-    # Forking does not consume parent state.
-    assert Rng(21).next_u64() == parent.next_u64()
-
-
-def test_choice_returns_member():
-    items = ["a", "b", "c"]
-    assert Rng(2).choice(items) in items

@@ -53,8 +53,8 @@ def main():
     print(f"stopped at epoch {history.stopped_epoch}, "
           f"best val MAE {history.best_val_loss:.5f}")
 
-    predictions, target_indices = predict_series(model, scaled)
-    errors = compute_errors(predictions, windows.targets, target_indices)
+    predictions, batch = predict_series(model, scaled)
+    errors = compute_errors(predictions, batch.targets, batch.target_indices)
     print(f"\ntraining errors: mean {float(np.mean(errors.errors)):.5f}, "
           f"delta (max) {errors.delta:.5f}, sigma {errors.sigma:.5f}")
     print("delta is the base the fixed threshold scales by beta.")

@@ -20,7 +20,7 @@ from .detectors import KMEANS, OCSVM, THRESHOLD, KmeansModel, OcsvmModel, Thresh
 from .forecaster import CnnModel, Conv1DSpec, DenseSpec, FlattenSpec, MaxPool1DSpec, build_model
 from .pipeline import FittedPipeline, PipelineSettings
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _LAYER_KINDS = {
     "conv1d": Conv1DSpec,

@@ -14,7 +14,7 @@ import csv
 import io
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -93,44 +93,38 @@ def _option(config: configparser.ConfigParser, section: str, key: str, default, 
     return default
 
 
+# INI keys that differ from the name of the field they set.
+_INI_KEYS = {"detector": "kind", "early_stop_patience": "patience"}
+
+
+def _fields_from_config(config: configparser.ConfigParser, section: str, cls, names) -> dict:
+    """Fields `names` of dataclass `cls` read from `[section]`.
+
+    Each value is cast to the type of the field's default; an unset key
+    keeps the default.
+    """
+    base = cls()
+    values = {}
+    for name in names:
+        default = getattr(base, name)
+        values[name] = _option(config, section, _INI_KEYS.get(name, name), default, type(default))
+    return values
+
+
 def _settings_from_config(config: configparser.ConfigParser) -> PipelineSettings:
-    base = PipelineSettings()
+    forecaster = (
+        "window", "conv1", "conv2", "kernel", "dense1", "dense2", "dropout", "learning_rate"
+    )
+    detector = ("detector", "beta", "lag", "nu", "gamma", "augment_fraction")
     return PipelineSettings(
-        window=_option(config, "forecaster", "window", base.window, int),
-        conv_filters=(
-            _option(config, "forecaster", "conv1", base.conv_filters[0], int),
-            _option(config, "forecaster", "conv2", base.conv_filters[1], int),
-        ),
-        kernel_size=_option(config, "forecaster", "kernel", base.kernel_size, int),
-        dense_units=(
-            _option(config, "forecaster", "dense1", base.dense_units[0], int),
-            _option(config, "forecaster", "dense2", base.dense_units[1], int),
-        ),
-        dropout=_option(config, "forecaster", "dropout", base.dropout, float),
-        learning_rate=_option(config, "forecaster", "learning_rate", base.learning_rate, float),
-        detector=_option(config, "detector", "kind", base.detector, str),
-        beta=_option(config, "detector", "beta", base.beta, float),
-        lag=_option(config, "detector", "lag", base.lag, int),
-        nu=_option(config, "detector", "nu", base.nu, float),
-        gamma=_option(config, "detector", "gamma", base.gamma, float),
-        augment_fraction=_option(
-            config, "detector", "augment_fraction", base.augment_fraction, float
-        ),
+        **_fields_from_config(config, "forecaster", PipelineSettings, forecaster),
+        **_fields_from_config(config, "detector", PipelineSettings, detector),
     )
 
 
 def _budget_from_config(config: configparser.ConfigParser) -> TrainConfig:
-    base = TrainConfig()
-    return TrainConfig(
-        epochs=_option(config, "forecaster", "epochs", base.epochs, int),
-        batch_size=_option(config, "forecaster", "batch_size", base.batch_size, int),
-        early_stop_patience=_option(
-            config, "forecaster", "patience", base.early_stop_patience, int
-        ),
-        validation_fraction=_option(
-            config, "forecaster", "validation_fraction", base.validation_fraction, float
-        ),
-    )
+    names = ("epochs", "batch_size", "early_stop_patience", "validation_fraction")
+    return TrainConfig(**_fields_from_config(config, "forecaster", TrainConfig, names))
 
 
 def _path_from_config(config: configparser.ConfigParser, key: str) -> str:
@@ -260,15 +254,8 @@ def _cmd_optimize(args) -> int:
     train_frame = load_csv(train_path, infer_schema(train_path))
     validation_frame = load_csv(validation_path, infer_schema(validation_path))
 
-    ga_config = GaConfig(
-        population_size=_option(config, "ga", "population_size", 20, int),
-        generations=_option(config, "ga", "generations", 47, int),
-        tournament_size=_option(config, "ga", "tournament_size", 3, int),
-        crossover_rate=_option(config, "ga", "crossover_rate", 0.9, float),
-        mutation_rate=_option(config, "ga", "mutation_rate", 0.1, float),
-        elitism_count=_option(config, "ga", "elitism_count", 1, int),
-        seed=_option(config, "ga", "seed", 0, int),
-    )
+    ga_names = [f.name for f in fields(GaConfig)]
+    ga_config = GaConfig(**_fields_from_config(config, "ga", GaConfig, ga_names))
     threads = _option(config, "ga", "threads", None, int)
 
     full_budget = _budget_from_config(config)
@@ -291,10 +278,7 @@ def _cmd_optimize(args) -> int:
 
     best = result.best
     fitted = fit_pipeline(
-        train_frame,
-        best.genome.as_settings(),
-        full_budget,
-        seed=genome_seed(ga_config.seed, best.genome),
+        train_frame, best.genome, full_budget, seed=genome_seed(ga_config.seed, best.genome)
     )
     save_pipeline(artifact_path, fitted)
     print(f"best genome {best.genome.key()} fitness {best.fitness!r}; artifact at {artifact_path}")

@@ -327,20 +327,16 @@ def train(model: CnnModel, batch: WindowBatch, config: TrainConfig) -> TrainHist
     return history
 
 
-def predict_series(
-    model: CnnModel, frame: TimeSeriesFrame, w: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One next-step prediction per window of the frame, dropout disabled.
+def predict_series(model: CnnModel, frame: TimeSeriesFrame) -> tuple[np.ndarray, WindowBatch]:
+    """One next-step prediction per model-length window of the frame, dropout
+    disabled, with the windows they came from.
 
-    predictions[i] forecasts the reading at absolute timestep
-    target_indices[i].
+    predictions[i] forecasts batch.targets[i], the reading at absolute
+    timestep batch.target_indices[i].
     """
-    w = model.w if w is None else w
-    if w != model.w:
-        raise ValueError(f"window {w} does not match model input {model.w}")
-    batch = make_windows(frame, w)
+    batch = make_windows(frame, model.w)
     preds = np.empty((len(batch), model.channels))
     for lo in range(0, len(batch), PREDICT_CHUNK):
         chunk = slice(lo, lo + PREDICT_CHUNK)
         preds[chunk] = model.forward(batch.inputs[chunk], training=False)
-    return preds, batch.target_indices
+    return preds, batch

@@ -1,5 +1,8 @@
 """Genetic algorithm over pipeline hyperparameters, maximizing detection F1.
 
+A genome is a `PipelineSettings`: the fields named in GENE_DOMAINS are its
+genes, and the others keep the default genome's values.
+
 Tournament selection, uniform crossover, per-gene resample mutation, and
 elitism. Fitness is a pure function of the genome (per-genome seeds derive
 from the run seed and a genome digest), so results are cached by genome key
@@ -10,7 +13,6 @@ import csv
 import hashlib
 import io
 import logging
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -18,14 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import TimeSeriesFrame
-from .detectors import DETECTOR_KINDS, THRESHOLD
+from .detectors import DETECTOR_KINDS, NonConvergence
 from .forecaster import TrainConfig
 from .pipeline import PipelineSettings, evaluate_frame, fit_pipeline
 from .rng import Rng, derive_seed
 
 logger = logging.getLogger(__name__)
-
-THREADS_ENV = "CPS_SENTINEL_THREADS"
 
 
 @dataclass(frozen=True)
@@ -70,50 +70,12 @@ GENE_DOMAINS: dict[str, GeneSpec] = {
 GENE_NAMES = tuple(GENE_DOMAINS)
 
 
-@dataclass(frozen=True)
-class Genome:
-    window: int = 12
-    beta: float = 1.5
-    lag: int = 1
-    conv1: int = 32
-    conv2: int = 64
-    kernel: int = 3
-    dense1: int = 64
-    dense2: int = 32
-    dropout: float = 0.2
-    learning_rate: float = 1e-3
-    detector: str = THRESHOLD
-    nu: float = 0.05
-    gamma: float = 1.0
-
-    def key(self) -> str:
-        """Canonical string; the cache key and the log representation."""
-        parts = []
-        for name in GENE_NAMES:
-            value = getattr(self, name)
-            parts.append(f"{name}={value!r}" if isinstance(value, float) else f"{name}={value}")
-        return ";".join(parts)
-
-    def as_settings(self) -> PipelineSettings:
-        return PipelineSettings(
-            window=self.window,
-            conv_filters=(self.conv1, self.conv2),
-            kernel_size=self.kernel,
-            dense_units=(self.dense1, self.dense2),
-            dropout=self.dropout,
-            learning_rate=self.learning_rate,
-            detector=self.detector,
-            beta=self.beta,
-            lag=self.lag,
-            nu=self.nu,
-            gamma=self.gamma,
-        )
+DEFAULT_GENOME = PipelineSettings()
 
 
-DEFAULT_GENOME = Genome()
-
-
-def validate_genome(genome: Genome, domains: dict[str, GeneSpec] | None = None) -> list[str]:
+def validate_genome(
+    genome: PipelineSettings, domains: dict[str, GeneSpec] | None = None
+) -> list[str]:
     """All gene-domain violations, empty when the genome is well-formed."""
     domains = GENE_DOMAINS if domains is None else domains
     problems = []
@@ -130,8 +92,8 @@ def validate_genome(genome: Genome, domains: dict[str, GeneSpec] | None = None) 
 def random_genome(
     rng: Rng,
     domains: dict[str, GeneSpec] | None = None,
-    base: Genome | None = None,
-) -> Genome:
+    base: PipelineSettings | None = None,
+) -> PipelineSettings:
     """Sample every gene named in `domains`; the rest copy `base`.
 
     A restricted `domains` mapping therefore searches a subspace around a
@@ -143,15 +105,17 @@ def random_genome(
     return repair(genome, rng, domains)
 
 
-def crossover(rng: Rng, a: Genome, b: Genome) -> Genome:
+def crossover(rng: Rng, a: PipelineSettings, b: PipelineSettings) -> PipelineSettings:
     """Uniform crossover: each gene from either parent with equal chance."""
     genes = {}
     for name in GENE_NAMES:
         genes[name] = getattr(a, name) if rng.uniform() < 0.5 else getattr(b, name)
-    return Genome(**genes)
+    return replace(a, **genes)
 
 
-def mutate(rng: Rng, genome: Genome, rate: float, domains: dict[str, GeneSpec] | None = None) -> Genome:
+def mutate(
+    rng: Rng, genome: PipelineSettings, rate: float, domains: dict[str, GeneSpec] | None = None
+) -> PipelineSettings:
     """Resample each gene named in `domains` with probability `rate`."""
     domains = GENE_DOMAINS if domains is None else domains
     changed = {}
@@ -161,27 +125,29 @@ def mutate(rng: Rng, genome: Genome, rate: float, domains: dict[str, GeneSpec] |
     return replace(genome, **changed) if changed else genome
 
 
-def repair(genome: Genome, rng: Rng, domains: dict[str, GeneSpec] | None = None) -> Genome:
+def repair(
+    genome: PipelineSettings, rng: Rng, domains: dict[str, GeneSpec] | None = None
+) -> PipelineSettings:
     """Resample any out-of-domain gene; force the window divisible by 4."""
     domains = GENE_DOMAINS if domains is None else domains
-    genes = {name: getattr(genome, name) for name in GENE_NAMES}
+    genes = {}
     for name, spec in domains.items():
-        if not spec.contains(genes[name]):
+        if not spec.contains(getattr(genome, name)):
             genes[name] = spec.sample(rng)
     window_spec = domains.get("window", GENE_DOMAINS["window"])
-    if genes["window"] % 4 != 0:
+    if genes.get("window", genome.window) % 4 != 0:
         if window_spec.continuous:
             raise ValueError("window domain must be a finite choice set")
         valid = [c for c in window_spec.choices if c % 4 == 0]
         if not valid:
             raise ValueError("window domain contains no multiple of 4")
         genes["window"] = valid[rng.randint(len(valid))]
-    return Genome(**genes)
+    return replace(genome, **genes)
 
 
 @dataclass
 class Individual:
-    genome: Genome
+    genome: PipelineSettings
     fitness: float | None = None
 
 
@@ -208,14 +174,14 @@ class GaConfig:
             raise ValueError("elitism_count must be below population_size")
 
 
-def genome_seed(base_seed: int, genome: Genome) -> int:
+def genome_seed(base_seed: int, genome: PipelineSettings) -> int:
     """Per-genome evaluation seed: stable digest of the canonical key."""
     digest = hashlib.sha256(genome.key().encode()).digest()
     return derive_seed(base_seed, int.from_bytes(digest[:8], "big"))
 
 
 def _evaluate_raising(
-    genome: Genome,
+    genome: PipelineSettings,
     train_frame: TimeSeriesFrame,
     validation_frame: TimeSeriesFrame,
     budget: TrainConfig | None,
@@ -224,12 +190,7 @@ def _evaluate_raising(
     problems = validate_genome(genome)
     if problems:
         raise ValueError("; ".join(problems))
-    fitted = fit_pipeline(
-        train_frame,
-        genome.as_settings(),
-        budget=budget,
-        seed=genome_seed(base_seed, genome),
-    )
+    fitted = fit_pipeline(train_frame, genome, budget=budget, seed=genome_seed(base_seed, genome))
     _, report, _, _ = evaluate_frame(fitted, validation_frame)
     return report.f1
 
@@ -253,14 +214,14 @@ def make_evaluator(
     failures: list[tuple[str, str]] = []
     lock = threading.Lock()
 
-    def evaluator(genome: Genome) -> float:
+    def evaluator(genome: PipelineSettings) -> float:
         key = genome.key()
         with lock:
             if key in cache:
                 return cache[key]
         try:
             fitness = _evaluate_raising(genome, train_frame, validation_frame, budget, seed)
-        except Exception as exc:
+        except (ValueError, FloatingPointError, NonConvergence) as exc:
             logger.warning("genome %s failed: %s", key, exc)
             with lock:
                 failures.append((key, str(exc)))
@@ -281,15 +242,6 @@ class EvolutionResult:
     mean_history: list[float]
     log_lines: list[str]
     final_population: list[Individual]
-
-
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "").strip()
-        threads = int(raw) if raw else 0
-    if threads < 0:
-        raise ValueError(f"{THREADS_ENV} must be non-negative")
-    return threads
 
 
 def _evaluate_population(population: list[Individual], evaluator, threads: int) -> None:
@@ -317,7 +269,7 @@ def evolve(
     config: GaConfig,
     evaluator,
     domains: dict[str, GeneSpec] | None = None,
-    default_genome: Genome | None = None,
+    default_genome: PipelineSettings | None = None,
     threads: int | None = None,
 ) -> EvolutionResult:
     """Run the GA; generation 0 is the seeded initial population.
@@ -325,12 +277,13 @@ def evolve(
     The initial population holds one copy of the default genome plus random
     genomes. All randomness comes from config.seed in the main thread, and
     fitness depends only on the genome, so serial and parallel runs produce
-    identical logs. Thread count defaults to the CPS_SENTINEL_THREADS
-    environment variable (0 or 1 means serial).
+    identical logs. `threads` None, 0 or 1 means serial evaluation.
     """
     domains = GENE_DOMAINS if domains is None else domains
     default_genome = DEFAULT_GENOME if default_genome is None else default_genome
-    threads = _thread_count(threads)
+    threads = 0 if threads is None else threads
+    if threads < 0:
+        raise ValueError("threads must be non-negative")
     rng = Rng(derive_seed(config.seed, 0x6A))
 
     population = [Individual(default_genome)]

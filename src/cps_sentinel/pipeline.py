@@ -4,7 +4,7 @@ Shared by the command-line front end and the genetic-algorithm fitness
 function so both run exactly the same code path.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,17 +37,23 @@ from .rng import derive_seed
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Hyperparameters of one pipeline instance (the genome's phenotype)."""
+    """Hyperparameters of one pipeline instance, and the GA's genome.
+
+    Every field but `augment_fraction` is a gene of `gaopt.GENE_DOMAINS`,
+    in the same order.
+    """
 
     window: int = 12
-    conv_filters: tuple[int, int] = (32, 64)
-    kernel_size: int = 3
-    dense_units: tuple[int, int] = (64, 32)
+    beta: float = 1.5
+    lag: int = 1
+    conv1: int = 32
+    conv2: int = 64
+    kernel: int = 3
+    dense1: int = 64
+    dense2: int = 32
     dropout: float = 0.2
     learning_rate: float = 0.001
     detector: str = THRESHOLD
-    beta: float = 1.5
-    lag: int = 1
     nu: float = 0.05
     gamma: float = 1.0
     augment_fraction: float = 0.3
@@ -59,6 +65,17 @@ class PipelineSettings:
             raise ValueError("window must be positive")
         if self.lag < 0:
             raise ValueError("lag must be non-negative")
+
+    def key(self) -> str:
+        """Canonical `gene=value;...` string of every field but
+        `augment_fraction`: the GA's cache key, log form and seed source."""
+        parts = []
+        for f in fields(self):
+            if f.name == "augment_fraction":
+                continue
+            value = getattr(self, f.name)
+            parts.append(f"{f.name}={value!r}" if isinstance(value, float) else f"{f.name}={value}")
+        return ";".join(parts)
 
 
 @dataclass
@@ -102,9 +119,9 @@ def fit_pipeline(
     windows = make_windows(scaled_train, settings.window)
     specs = default_stack(
         channels=train_frame.schema.channel_count,
-        conv_filters=settings.conv_filters,
-        kernel_size=settings.kernel_size,
-        dense_units=settings.dense_units,
+        conv_filters=(settings.conv1, settings.conv2),
+        kernel_size=settings.kernel,
+        dense_units=(settings.dense1, settings.dense2),
         dropout=settings.dropout,
     )
     model = build_model(
@@ -115,8 +132,8 @@ def fit_pipeline(
     )
     history = train(model, windows, config)
 
-    predictions, target_indices = predict_series(model, scaled_train)
-    train_errors = compute_errors(predictions, windows.targets, target_indices)
+    predictions, batch = predict_series(model, scaled_train)
+    train_errors = compute_errors(predictions, batch.targets, batch.target_indices)
 
     if settings.detector == THRESHOLD:
         detector = threshold_fit(train_errors, settings.beta)
@@ -151,9 +168,8 @@ def detect_frame(
 ) -> tuple[VerdictSeries, ErrorSeries]:
     """Verdicts for every predictable timestep of the frame (from w onward)."""
     scaled = apply_minmax(fitted.scaler, frame)
-    predictions, target_indices = predict_series(fitted.model, scaled)
-    targets = scaled.values[fitted.settings.window :]
-    errors = compute_errors(predictions, targets, target_indices)
+    predictions, batch = predict_series(fitted.model, scaled)
+    errors = compute_errors(predictions, batch.targets, batch.target_indices)
 
     kind = fitted.settings.detector
     if kind == THRESHOLD:

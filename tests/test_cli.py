@@ -1,12 +1,19 @@
+import configparser
 import json
 import shutil
 import subprocess
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from cps_sentinel import cli
 from cps_sentinel.cli import infer_schema, main
 from cps_sentinel.dataio import DataFormatError
+from cps_sentinel.detectors import KMEANS
+from cps_sentinel.forecaster import TrainConfig
+from cps_sentinel.gaopt import GaConfig
+from cps_sentinel.pipeline import PipelineSettings
 
 PLANT_INI = """\
 [plant]
@@ -169,6 +176,15 @@ def _drop(mapping, key):
     del mapping[key]
 
 
+def _as_v2(meta, arrays):
+    """The settings as format version 2 stored them."""
+    settings = meta["settings"]
+    settings["conv_filters"] = [settings.pop("conv1"), settings.pop("conv2")]
+    settings["kernel_size"] = settings.pop("kernel")
+    settings["dense_units"] = [settings.pop("dense1"), settings.pop("dense2")]
+    meta["format_version"] = 2
+
+
 # name -> (edit of the artifact's metadata and arrays, expected message fragment)
 BROKEN_ARTIFACTS = {
     "missing settings key": (
@@ -190,6 +206,7 @@ BROKEN_ARTIFACTS = {
     "v1 artifact": (
         lambda meta, arrays: meta.update(format_version=1), "unsupported artifact format version 1"
     ),
+    "v2 artifact": (_as_v2, "unsupported artifact format version 2"),
 }
 
 
@@ -307,6 +324,101 @@ threads = 1
     assert len(log_lines) == 2 * 3  # (generations + 1) * population
     history = (tmp_path / "ga_history.csv").read_text().splitlines()
     assert history[0] == "generation,best,mean" and len(history) == 3
+
+
+EVERY_KEY_INI = """\
+[forecaster]
+window = 16
+conv1 = 16
+conv2 = 16
+kernel = 5
+dense1 = 128
+dense2 = 16
+dropout = 0.1
+learning_rate = 0.01
+epochs = 7
+batch_size = 9
+patience = 4
+validation_fraction = 0.25
+
+[detector]
+kind = kmeans
+beta = 2.5
+lag = 3
+nu = 0.1
+gamma = 10.0
+augment_fraction = 0.4
+
+[ga]
+population_size = 5
+generations = 2
+tournament_size = 2
+crossover_rate = 0.5
+mutation_rate = 0.3
+elitism_count = 2
+seed = 9
+threads = 2
+budget_epochs = 3
+"""
+
+
+def _optimize_inputs(workspace, tmp_path, monkeypatch, ini):
+    """What `optimize` hands the GA for a config of `[paths]` plus `ini`."""
+    cfg = tmp_path / "ga.ini"
+    cfg.write_text(f"""\
+[paths]
+train_csv = {workspace}/data/normal.csv
+validation_csv = {workspace}/data/test.csv
+artifact = {tmp_path}/best.npz
+
+{ini}""")
+    seen = {}
+
+    def make_evaluator(train_frame, validation_frame, budget, seed):
+        seen["budget"], seen["seed"] = budget, seed
+
+    def evolve(config, evaluator, threads):
+        seen["ga"], seen["threads"] = config, threads
+        raise ValueError("stopped before evolving")
+
+    monkeypatch.setattr(cli, "make_evaluator", make_evaluator)
+    monkeypatch.setattr(cli, "evolve", evolve)
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    return seen
+
+
+def test_every_config_key_sets_its_field(workspace, tmp_path, monkeypatch):
+    config = configparser.ConfigParser()
+    config.read_string(EVERY_KEY_INI)
+    settings = cli._settings_from_config(config)
+    assert settings == PipelineSettings(
+        window=16, beta=2.5, lag=3, conv1=16, conv2=16, kernel=5, dense1=128, dense2=16,
+        dropout=0.1, learning_rate=0.01, detector=KMEANS, nu=0.1, gamma=10.0,
+        augment_fraction=0.4,
+    )
+    budget = cli._budget_from_config(config)
+    assert budget == TrainConfig(epochs=7, batch_size=9, early_stop_patience=4,
+                                 validation_fraction=0.25)
+    seen = _optimize_inputs(workspace, tmp_path, monkeypatch, EVERY_KEY_INI)
+    assert seen["ga"] == GaConfig(population_size=5, generations=2, tournament_size=2,
+                                  crossover_rate=0.5, mutation_rate=0.3, elitism_count=2,
+                                  seed=9)
+    assert seen["threads"] == 2 and seen["seed"] == 9
+    assert seen["budget"] == TrainConfig(epochs=3, batch_size=9, early_stop_patience=3,
+                                         validation_fraction=0.25)
+    # Every field read from the config was moved off its default.
+    for value, default in ((settings, PipelineSettings()), (seen["ga"], GaConfig())):
+        for f in fields(default):
+            assert getattr(value, f.name) != getattr(default, f.name), f.name
+
+
+def test_an_empty_config_gives_the_defaults(workspace, tmp_path, monkeypatch):
+    empty = configparser.ConfigParser()
+    assert cli._settings_from_config(empty) == PipelineSettings()
+    assert cli._budget_from_config(empty) == TrainConfig()
+    seen = _optimize_inputs(workspace, tmp_path, monkeypatch, "")
+    assert seen["ga"] == GaConfig() and seen["threads"] is None
+    assert seen["budget"] == TrainConfig(epochs=20)
 
 
 def test_infer_schema_reads_header(tmp_path):

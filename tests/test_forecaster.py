@@ -374,9 +374,9 @@ def test_train_rejects_degenerate_split():
 def test_predict_series_matches_per_window_forward():
     frame = random_frame(40, 2, seed=17)
     model = build_model(4, 2, SMALL_STACK, seed=2)
-    preds, indices = predict_series(model, frame)
-    np.testing.assert_array_equal(indices, np.arange(4, 40))
-    batch = make_windows(frame, 4)
+    preds, batch = predict_series(model, frame)
+    np.testing.assert_array_equal(batch.target_indices, np.arange(4, 40))
+    np.testing.assert_array_equal(batch.targets, frame.values[4:])
     np.testing.assert_array_equal(preds, model.forward(batch.inputs))
     # Per-window forward uses a different BLAS reduction order; agreement is
     # to the last couple of ulps, not bit-exact.
@@ -395,12 +395,6 @@ def test_predict_series_chunking_is_transparent(monkeypatch):
     monkeypatch.setattr(fm, "PREDICT_CHUNK", 4)
     chunked, _ = predict_series(model, frame)
     np.testing.assert_array_equal(whole, chunked)
-
-
-def test_predict_series_rejects_mismatched_window():
-    model = build_model(4, 2, SMALL_STACK, seed=2)
-    with pytest.raises(ValueError, match="window"):
-        predict_series(model, random_frame(30, 2), w=6)
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):

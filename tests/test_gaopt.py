@@ -1,4 +1,5 @@
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from cps_sentinel.detectors import KMEANS, THRESHOLD
 from cps_sentinel.forecaster import TrainConfig
 from cps_sentinel.gaopt import (
     DEFAULT_GENOME,
+    GENE_DOMAINS,
     GENE_NAMES,
     GaConfig,
     GeneSpec,
-    Genome,
     crossover,
     evolution_log_text,
     evolve,
@@ -23,12 +24,13 @@ from cps_sentinel.gaopt import (
     repair,
     validate_genome,
 )
+from cps_sentinel.pipeline import PipelineSettings
 from cps_sentinel.rng import Rng
 
 from conftest import make_frame, random_frame
 
 
-def toy_fitness(genome: Genome) -> float:
+def toy_fitness(genome: PipelineSettings) -> float:
     """Deterministic, instant stand-in for pipeline F1: peaks at beta 2.2."""
     score = 1.0 / (1.0 + abs(genome.beta - 2.2))
     if genome.window == 16:
@@ -67,21 +69,27 @@ def test_genome_key_has_no_commas():
         assert "," not in random_genome(rng).key()
 
 
-def test_genome_as_settings_maps_every_field():
-    genome = Genome(window=16, beta=2.5, lag=3, conv1=16, conv2=32, kernel=5,
-                    dense1=128, dense2=16, dropout=0.1, learning_rate=1e-4,
-                    detector=KMEANS, nu=0.1, gamma=10.0)
-    settings = genome.as_settings()
-    assert settings.window == 16 and settings.beta == 2.5 and settings.lag == 3
-    assert settings.conv_filters == (16, 32) and settings.kernel_size == 5
-    assert settings.dense_units == (128, 16) and settings.dropout == 0.1
-    assert settings.learning_rate == 1e-4 and settings.detector == KMEANS
-    assert settings.nu == 0.1 and settings.gamma == 10.0
+def test_genes_are_the_pipeline_settings_fields():
+    assert GENE_NAMES == tuple(GENE_DOMAINS)
+    names = tuple(f.name for f in fields(PipelineSettings))
+    assert names == GENE_NAMES + ("augment_fraction",)
+    assert DEFAULT_GENOME == PipelineSettings()
+    keyed = [part.split("=")[0] for part in DEFAULT_GENOME.key().split(";")]
+    assert keyed == list(GENE_NAMES)
+
+
+def test_crossover_and_repair_keep_the_non_gene_fields():
+    a = PipelineSettings(window=10, augment_fraction=0.4)
+    b = PipelineSettings(window=24, beta=3.0, augment_fraction=0.1)
+    rng = Rng(11)
+    for _ in range(10):
+        assert crossover(rng, a, b).augment_fraction == 0.4
+    assert repair(a, rng).augment_fraction == 0.4
 
 
 def test_validate_genome():
     assert validate_genome(DEFAULT_GENOME) == []
-    problems = validate_genome(Genome(window=10, beta=5.0))
+    problems = validate_genome(PipelineSettings(window=10, beta=5.0))
     assert any("window=10" in p for p in problems)
     assert any("beta" in p for p in problems)
     assert any("divisible by 4" in p for p in problems)
@@ -91,7 +99,7 @@ def test_genome_seed_depends_on_genome_and_base():
     a = genome_seed(0, DEFAULT_GENOME)
     assert genome_seed(0, DEFAULT_GENOME) == a
     assert genome_seed(1, DEFAULT_GENOME) != a
-    assert genome_seed(0, Genome(beta=2.0)) != a
+    assert genome_seed(0, PipelineSettings(beta=2.0)) != a
 
 
 def test_random_genome_stays_in_domains():
@@ -103,7 +111,7 @@ def test_random_genome_stays_in_domains():
 
 def test_random_genome_restricted_domain_keeps_base_genes():
     rng = Rng(4)
-    base = Genome(window=16, detector=KMEANS, nu=0.1)
+    base = PipelineSettings(window=16, detector=KMEANS, nu=0.1)
     domains = {"beta": GeneSpec(low=1.0, high=3.0)}
     betas = set()
     for _ in range(10):
@@ -115,8 +123,8 @@ def test_random_genome_restricted_domain_keeps_base_genes():
 
 
 def test_crossover_takes_each_gene_from_a_parent():
-    a = Genome(window=8, beta=1.0, detector=THRESHOLD)
-    b = Genome(window=24, beta=3.0, detector=KMEANS)
+    a = PipelineSettings(window=8, beta=1.0, detector=THRESHOLD)
+    b = PipelineSettings(window=24, beta=3.0, detector=KMEANS)
     rng = Rng(5)
     for _ in range(10):
         child = crossover(rng, a, b)
@@ -138,12 +146,12 @@ def test_mutate_rate_one_resamples_continuous_genes():
 
 def test_repair_fixes_violations():
     rng = Rng(8)
-    fixed = repair(Genome(window=10, beta=9.0), rng)
+    fixed = repair(PipelineSettings(window=10, beta=9.0), rng)
     assert validate_genome(fixed) == []
     with pytest.raises(ValueError, match="multiple of 4"):
-        repair(Genome(window=10), rng, {"window": GeneSpec(choices=(10, 14))})
+        repair(PipelineSettings(window=10), rng, {"window": GeneSpec(choices=(10, 14))})
     with pytest.raises(ValueError, match="finite choice"):
-        repair(Genome(window=10), rng, {"window": GeneSpec(low=8, high=24)})
+        repair(PipelineSettings(window=10), rng, {"window": GeneSpec(low=8, high=24)})
 
 
 def test_ga_config_validation():
@@ -185,11 +193,7 @@ def test_evolve_parallel_trace_equals_serial():
     assert serial.best_history == parallel.best_history
 
 
-def test_evolve_thread_count_from_environment(monkeypatch):
-    serial = evolve(SMALL_GA, toy_fitness, threads=None)
-    monkeypatch.setenv(gaopt.THREADS_ENV, "3")
-    from_env = evolve(SMALL_GA, toy_fitness, threads=None)
-    assert serial.log_lines == from_env.log_lines
+def test_evolve_thread_count_from_environment():
     with pytest.raises(ValueError, match="non-negative"):
         evolve(SMALL_GA, toy_fitness, threads=-1)
 
@@ -256,7 +260,7 @@ def test_evaluate_precondition_errors():
 
 def test_invalid_genome_maps_to_zero_fitness(caplog):
     train, validation = labeled_frames()
-    bad = Genome(window=10)
+    bad = PipelineSettings(window=10)
     with caplog.at_level(logging.WARNING, logger="cps_sentinel.gaopt"):
         fitness = make_evaluator(train, validation)(bad)
     assert fitness == 0.0
@@ -280,10 +284,24 @@ def test_make_evaluator_caches_and_records_failures(monkeypatch):
     assert len(calls) == 1  # second call served from the cache
     assert evaluator.cache[DEFAULT_GENOME.key()] == 0.5
 
-    bad = Genome(window=10)
+    bad = PipelineSettings(window=10)
     assert evaluator(bad) == 0.0
     assert evaluator(bad) == 0.0
     assert evaluator.failures == [(bad.key(), "stub failure")]
+
+
+def test_make_evaluator_propagates_programming_errors(monkeypatch):
+    train, validation = labeled_frames()
+
+    def stub(genome, train_frame, validation_frame, budget, base_seed):
+        raise TypeError("a bug, not a bad genome")
+
+    monkeypatch.setattr(gaopt, "_evaluate_raising", stub)
+    evaluator = make_evaluator(train, validation)
+    with pytest.raises(TypeError, match="a bug"):
+        evaluator(DEFAULT_GENOME)
+    assert evaluator.cache == {}
+    assert evaluator.failures == []
 
 
 def test_micro_ga_on_real_pipeline():
@@ -291,7 +309,7 @@ def test_micro_ga_on_real_pipeline():
     budget = TrainConfig(epochs=1, batch_size=16, learning_rate=0.01,
                          early_stop_patience=1, seed=0)
     evaluator = make_evaluator(train, validation, budget=budget, seed=3)
-    base = Genome(window=8, conv1=16, conv2=16, dense1=16, dense2=16)
+    base = PipelineSettings(window=8, conv1=16, conv2=16, dense1=16, dense2=16)
     config = GaConfig(population_size=3, generations=1, tournament_size=2,
                       crossover_rate=0.5, mutation_rate=0.5, elitism_count=1, seed=1)
     domains = {"beta": GeneSpec(low=1.0, high=3.0),

@@ -6,7 +6,7 @@ import pytest
 
 from cps_sentinel.artifact import _decode, _encode, load_pipeline, save_pipeline
 from cps_sentinel.detectors import KMEANS, OCSVM, THRESHOLD, KmeansModel, OcsvmModel
-from cps_sentinel.forecaster import TrainConfig
+from cps_sentinel.forecaster import Conv1DSpec, DenseSpec, TrainConfig
 from cps_sentinel.pipeline import (
     PipelineSettings,
     detect_frame,
@@ -18,7 +18,7 @@ from cps_sentinel.plantsim import AttackSpec, PlantConfig, inject_attacks, simul
 from conftest import make_frame, random_frame
 
 TINY_BUDGET = TrainConfig(epochs=2, batch_size=32, early_stop_patience=2, seed=77)
-SMALL = dict(window=8, conv_filters=(8, 8), dense_units=(8, 8), dropout=0.0,
+SMALL = dict(window=8, conv1=8, conv2=8, dense1=8, dense2=8, dropout=0.0,
              learning_rate=0.01)
 
 
@@ -39,6 +39,18 @@ def test_fit_pipeline_rejects_attack_rows():
     frame = make_frame(random_frame(50, 2).values, labels=[True] + [False] * 49)
     with pytest.raises(ValueError, match="attack-labeled"):
         fit_pipeline(frame, small_settings(), budget=TINY_BUDGET)
+
+
+def test_fit_pipeline_builds_the_stack_from_the_genes():
+    settings = small_settings(window=16, conv1=4, conv2=6, kernel=5, dense1=7, dense2=3,
+                              dropout=0.1)
+    fitted = fit_pipeline(random_frame(80, 2, seed=43), settings, budget=TINY_BUDGET)
+    assert fitted.model.input_shape == (16, 2)
+    convs = [s for s in fitted.model.specs if isinstance(s, Conv1DSpec)]
+    dense = [s for s in fitted.model.specs if isinstance(s, DenseSpec)]
+    assert [(s.filters, s.kernel_size) for s in convs] == [(4, 5), (6, 5)]
+    assert [s.units for s in dense] == [7, 3, 2]
+    assert [s.dropout for s in dense[:2]] == [0.1, 0.1]
 
 
 def test_threshold_pipeline_never_flags_its_training_frame_at_beta_one():

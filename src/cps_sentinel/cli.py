@@ -10,8 +10,6 @@ print a single diagnostic line on stderr.
 
 import argparse
 import configparser
-import csv
-import io
 import os
 import sys
 from dataclasses import fields, replace
@@ -26,10 +24,12 @@ from .dataio import (
     TIMESTAMP_COLUMN,
     ChannelSchema,
     DataFormatError,
+    csv_text,
     load_csv,
+    read_header,
 )
-from .detectors import NonConvergence, VerdictSeries, verdict_csv
-from .errorspace import ErrorSeries, embed, embedding_csv, error_series_csv
+from .detectors import VERDICT_HEADER, NonConvergence, read_verdicts, verdict_csv
+from .errorspace import embed, embedding_csv, error_series_csv, read_error_series
 from .forecaster import TrainConfig, TrainHistory
 from .gaopt import (
     GaConfig,
@@ -74,16 +74,14 @@ def infer_schema(path: str) -> ChannelSchema:
     Kinds only matter when generating data, never when consuming it, so the
     all-sensor default is safe for training and detection.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if not header or header[0] != TIMESTAMP_COLUMN or len(header) < 2:
+    header = read_header(path)
+    if header[0] != TIMESTAMP_COLUMN:
         raise DataFormatError(f"{path}: header must start with {TIMESTAMP_COLUMN!r}")
-    names = header[1:]
-    if names and names[-1] == LABEL_COLUMN:
-        names = names[:-1]
-    if not names:
-        raise DataFormatError(f"{path}: no channel columns in header")
-    return ChannelSchema(names=tuple(names), kinds=(SENSOR,) * len(names))
+    names = header[1:-1] if header[-1] == LABEL_COLUMN else header[1:]
+    try:
+        return ChannelSchema(names=tuple(names), kinds=(SENSOR,) * len(names))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: header: {exc}") from None
 
 
 def _option(config: configparser.ConfigParser, section: str, key: str, default, cast):
@@ -135,12 +133,8 @@ def _path_from_config(config: configparser.ConfigParser, key: str) -> str:
 
 
 def _history_text(history: TrainHistory) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "train_mae", "val_mae"])
-    for epoch, (tr, va) in enumerate(zip(history.train_loss, history.val_loss), start=1):
-        writer.writerow([epoch, repr(tr), repr(va)])
-    return buf.getvalue()
+    columns = (range(1, len(history.train_loss) + 1), history.train_loss, history.val_loss)
+    return csv_text(("epoch", "train_mae", "val_mae"), columns)
 
 
 def _cmd_simulate(args) -> int:
@@ -197,34 +191,13 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _read_verdict_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "flag", "score"]:
-            raise DataFormatError(f"{path}: not a verdict file (header {header!r})")
-        indices, flags, scores = [], [], []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != 3:
-                raise DataFormatError(f"{path}: malformed verdict row {row_no}")
-            indices.append(int(row[0]))
-            flags.append(row[1] == "1")
-            scores.append(float(row[2]))
-    return (
-        np.asarray(indices, dtype=np.int64),
-        np.asarray(flags, dtype=bool),
-        np.asarray(scores, dtype=np.float64),
-    )
-
-
 def _read_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth flags from either a verdict CSV or a labeled data CSV."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header == ["index", "flag", "score"]:
-        indices, flags, _ = _read_verdict_file(path)
-        return indices, flags
-    if header and header[-1] == LABEL_COLUMN:
+    header = read_header(path)
+    if tuple(header) == VERDICT_HEADER:
+        verdicts = read_verdicts(path)
+        return verdicts.indices, verdicts.flags
+    if header[-1] == LABEL_COLUMN:
         frame = load_csv(path, infer_schema(path))
         return frame.timestamps.copy(), frame.labels.copy()
     raise DataFormatError(
@@ -233,14 +206,13 @@ def _read_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_evaluate(args) -> int:
-    indices, flags, scores = _read_verdict_file(args.verdicts)
+    verdicts = read_verdicts(args.verdicts)
     label_indices, label_flags = _read_labels(args.labels)
     lookup = {int(ix): bool(fl) for ix, fl in zip(label_indices, label_flags)}
     try:
-        truth = np.asarray([lookup[int(ix)] for ix in indices], dtype=bool)
+        truth = np.asarray([lookup[int(ix)] for ix in verdicts.indices], dtype=bool)
     except KeyError as exc:
         raise ValueError(f"labels file has no entry for index {exc.args[0]}") from None
-    verdicts = VerdictSeries(indices=indices, flags=flags, scores=scores)
     counts, report = score(verdicts, truth)
     sys.stdout.write(report_text(counts, report))
     return 0
@@ -285,31 +257,8 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _read_error_series(path: str) -> ErrorSeries:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "error"]:
-            raise DataFormatError(f"{path}: not an error-series file (header {header!r})")
-        indices, errors = [], []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != 2:
-                raise DataFormatError(f"{path}: malformed error row {row_no}")
-            indices.append(int(row[0]))
-            errors.append(float(row[1]))
-    if not errors:
-        raise DataFormatError(f"{path}: no error rows")
-    arr = np.asarray(errors, dtype=np.float64)
-    return ErrorSeries(
-        errors=arr,
-        target_indices=np.asarray(indices, dtype=np.int64),
-        delta=float(np.max(arr)),
-        sigma=float(np.std(arr)),
-    )
-
-
 def _cmd_report(args) -> int:
-    series = _read_error_series(args.errors)
+    series = read_error_series(args.errors)
     embedding = embed(series, args.lag)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "error_series.csv"), error_series_csv(series))

@@ -1,4 +1,7 @@
-"""Loading, validation, normalization and windowing of labeled sensor CSVs.
+"""The CSV codec, and loading, validation, normalization and windowing of frames.
+
+Every CSV table the package writes or reads goes through `csv_text` and
+`read_csv`; the modules that own a table define its header.
 
 Wire format: `Timestamp` column first (integer seconds, or ISO-8601 which is
 converted to epoch seconds), one decimal column per channel, and an optional
@@ -82,15 +85,18 @@ class TimeSeriesFrame:
         if not (len(ts) == len(vals) == len(labs)):
             raise ValueError("timestamps, values and labels lengths differ")
         if len(ts) > 1:
-            steps = np.diff(ts)
-            if np.any(steps <= 0):
-                row = int(np.argmax(steps <= 0)) + 2
+            # Compared, not subtracted: a step past the int64 range would wrap.
+            backwards = ts[1:] <= ts[:-1]
+            if np.any(backwards):
+                row = int(np.argmax(backwards)) + 2
                 raise ValueError(f"non-monotonic timestamp at row {row}")
+            steps = np.diff(ts)
             if np.any(steps != 1):
                 row = int(np.argmax(steps != 1)) + 2
                 raise ValueError(f"non-contiguous timestamp at row {row}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values contain non-finite entries")
+        finite = np.all(np.isfinite(vals), axis=1)
+        if not np.all(finite):
+            raise ValueError(f"non-finite value at row {int(np.argmin(finite)) + 1}")
         object.__setattr__(self, "timestamps", _freeze(ts))
         object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "labels", _freeze(labs))
@@ -137,16 +143,102 @@ class WindowBatch:
         return len(self.targets)
 
 
-def _parse_timestamp(token: str, row: int) -> int:
-    token = token.strip()
+def csv_text(header, columns) -> str:
+    """CSV text: the header row, then one row per position of equal-length columns.
+
+    Each column is a sequence or a 1-D array. Floats are written as their
+    repr, the shortest text that reads back to the same bits, and every row
+    ends in a bare newline.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(np.asarray(column).tolist() for column in columns)))
+    return buf.getvalue()
+
+
+def _csv_rows(path, data: bytes) -> list[list[str]]:
+    """The CSV rows of UTF-8 `data`; row 0 is the header."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start)  # lines before the bad byte
+        raise DataFormatError(f"{path}: malformed row {row}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: malformed row {reader.line_num - 1}: {exc}") from None
+    if not rows or not rows[0]:
+        raise DataFormatError(f"{path}: missing header row")
+    return rows
+
+
+def read_header(path) -> list[str]:
+    """The header row of the CSV file at `path`, read without the rest."""
+    with open(path, "rb") as fh:
+        return _csv_rows(path, fh.readline())[0]
+
+
+# Cells of `read_csv`: a column of integers, of floats, or of tokens kept as text.
+INT64 = (int, np.int64)
+FLOAT64 = (float, np.float64)
+TOKEN = (str, str)
+
+
+def read_csv(path, what: str, layouts: dict) -> list[np.ndarray]:
+    """One array per column of the CSV file at `path`.
+
+    `layouts` maps each accepted header, as a tuple of column names, to one
+    `(parser, dtype)` cell per column, such as `INT64`: the parser turns a
+    field into a value and raises ValueError on a bad one, and the column's
+    values become an array of that dtype. Any other header is "not {what}".
+    Every fault is a DataFormatError "{path}: malformed row N: reason",
+    counting data rows from 1; the header is row 0.
+    """
+    with open(path, "rb") as fh:
+        header, *body = _csv_rows(path, fh.read())
+    cells = layouts.get(tuple(header))
+    if cells is None:
+        raise DataFormatError(f"{path}: not {what} (header {header!r})")
+    width = len(cells)
+    for row_no, row in enumerate(body, start=1):
+        if len(row) != width:
+            raise DataFormatError(
+                f"{path}: malformed row {row_no}: {len(row)} fields, expected {width}: {row!r}"
+            )
+    columns = list(zip(*body)) if body else [()] * width
+    try:
+        return [
+            np.asarray(list(map(parse, tokens)), dtype=dtype)
+            for (parse, dtype), tokens in zip(cells, columns)
+        ]
+    except (ValueError, OverflowError):
+        # Name the first bad field in reading order.
+        for row_no, row in enumerate(body, start=1):
+            for (parse, dtype), token in zip(cells, row):
+                try:
+                    np.asarray(parse(token), dtype=dtype)
+                except (ValueError, OverflowError) as exc:
+                    raise DataFormatError(f"{path}: malformed row {row_no}: {exc}") from None
+        raise
+
+
+def reject_rows(path, bad: np.ndarray, column: np.ndarray, reason: str) -> None:
+    """DataFormatError naming the first row where `bad` holds and its value."""
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise DataFormatError(
+            f"{path}: malformed row {row + 1}: {reason} {column[row].item()!r}"
+        )
+
+
+def _parse_timestamp(token: str) -> int:
+    """Integer seconds, or an ISO-8601 time (UTC unless it names a zone)."""
     try:
         return int(token)
     except ValueError:
-        pass
-    try:
-        dt = datetime.fromisoformat(token)
-    except ValueError:
-        raise DataFormatError(f"malformed timestamp {token!r} at row {row}") from None
+        dt = datetime.fromisoformat(token.strip())
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
@@ -155,73 +247,35 @@ def _parse_timestamp(token: str, row: int) -> int:
 def load_csv(path, schema: ChannelSchema) -> TimeSeriesFrame:
     """Read a frame in the wire format, validating against the schema.
 
-    A missing label column yields all-normal labels.  Malformed rows,
-    non-monotonic timestamps, unknown label tokens and channel-count
-    mismatches are reported with their 1-based data row number.
+    A missing label column yields all-normal labels. Every fault names the
+    file and its 1-based data row: a malformed field, a channel-count
+    mismatch, an unknown label token, a repeated or skipped timestamp and a
+    non-finite reading.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file: missing header row") from None
-        expected = [TIMESTAMP_COLUMN, *schema.names]
-        has_labels = header == expected + [LABEL_COLUMN]
-        if not has_labels and header != expected:
-            raise DataFormatError(
-                f"header {header!r} does not match schema "
-                f"(expected {expected} with optional trailing {LABEL_COLUMN!r})"
-            )
-        width = len(expected) + (1 if has_labels else 0)
-
-        timestamps, rows, labels = [], [], []
-        prev_ts = None
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise DataFormatError(
-                    f"channel-count mismatch at row {row_no}: "
-                    f"got {len(row)} fields, expected {width}"
-                )
-            ts = _parse_timestamp(row[0], row_no)
-            if prev_ts is not None and ts <= prev_ts:
-                raise DataFormatError(f"non-monotonic timestamp at row {row_no}")
-            if prev_ts is not None and ts != prev_ts + 1:
-                raise DataFormatError(f"non-contiguous timestamp at row {row_no}")
-            prev_ts = ts
-            try:
-                vals = [float(tok) for tok in row[1 : 1 + schema.channel_count]]
-            except ValueError:
-                raise DataFormatError(f"malformed row {row_no}: non-numeric value") from None
-            if has_labels:
-                token = row[-1]
-                if token not in (NORMAL_TOKEN, ATTACK_TOKEN):
-                    raise DataFormatError(f"unknown label token {token!r} at row {row_no}")
-                labels.append(token == ATTACK_TOKEN)
-            timestamps.append(ts)
-            rows.append(vals)
-
-    n = len(timestamps)
-    return TimeSeriesFrame(
-        schema=schema,
-        timestamps=np.asarray(timestamps, dtype=np.int64),
-        values=np.asarray(rows, dtype=np.float64).reshape(n, schema.channel_count),
-        labels=np.asarray(labels if has_labels else [False] * n, dtype=bool),
+    columns = (TIMESTAMP_COLUMN, *schema.names)
+    cells = [(_parse_timestamp, np.int64)] + [FLOAT64] * schema.channel_count
+    timestamps, *values = read_csv(
+        path,
+        f"a data file with columns {list(columns)} and an optional {LABEL_COLUMN!r}",
+        {columns: cells, (*columns, LABEL_COLUMN): [*cells, TOKEN]},
     )
+    labels = np.zeros(len(timestamps), dtype=bool)
+    if len(values) > schema.channel_count:
+        tokens = values.pop()
+        labels = tokens == ATTACK_TOKEN
+        reject_rows(path, ~labels & (tokens != NORMAL_TOKEN), tokens, "unknown label token")
+    try:
+        return TimeSeriesFrame(schema, timestamps, np.column_stack(values), labels)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def save_csv(frame: TimeSeriesFrame, path) -> None:
     """Write a frame in the wire format; floats use shortest round-trip repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([TIMESTAMP_COLUMN, *frame.schema.names, LABEL_COLUMN])
-    for i in range(len(frame)):
-        writer.writerow(
-            [int(frame.timestamps[i])]
-            + [repr(float(v)) for v in frame.values[i]]
-            + [ATTACK_TOKEN if frame.labels[i] else NORMAL_TOKEN]
-        )
+    header = [TIMESTAMP_COLUMN, *frame.schema.names, LABEL_COLUMN]
+    tokens = np.where(frame.labels, ATTACK_TOKEN, NORMAL_TOKEN)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(csv_text(header, [frame.timestamps, *frame.values.T, tokens]))
 
 
 def fit_minmax(frame: TimeSeriesFrame) -> MinMaxScaler:

@@ -5,12 +5,11 @@ an RBF kernel solved in the dual, and two-cluster k-means. Fitting mutates
 nothing shared; detection on a fitted model is pure and thread-safe.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import FLOAT64, INT64, TOKEN, csv_text, read_csv, reject_rows
 from .errorspace import ErrorEmbedding, ErrorSeries
 from .rng import Rng, derive_seed
 
@@ -18,6 +17,8 @@ THRESHOLD = "threshold"
 OCSVM = "ocsvm"
 KMEANS = "kmeans"
 DETECTOR_KINDS = (THRESHOLD, OCSVM, KMEANS)
+
+VERDICT_HEADER = ("index", "flag", "score")
 
 KKT_TOL = 1e-6
 WEIGHT_EPS = 1e-6
@@ -333,15 +334,15 @@ def align_to_series(verdicts: VerdictSeries, series: ErrorSeries) -> VerdictSeri
 
 def verdict_csv(verdicts: VerdictSeries) -> str:
     """`index,flag,score` rows; flag as 0/1, score via repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "flag", "score"])
-    for i in range(len(verdicts)):
-        writer.writerow(
-            [
-                int(verdicts.indices[i]),
-                int(verdicts.flags[i]),
-                repr(float(verdicts.scores[i])),
-            ]
-        )
-    return buf.getvalue()
+    flags = verdicts.flags.astype(np.int64)
+    return csv_text(VERDICT_HEADER, (verdicts.indices, flags, verdicts.scores))
+
+
+def read_verdicts(path) -> VerdictSeries:
+    """The verdicts of an `index,flag,score` CSV; a flag is `0` or `1`."""
+    layouts = {VERDICT_HEADER: (INT64, TOKEN, FLOAT64)}
+    indices, flags, scores = read_csv(path, "a verdict file", layouts)
+    attack = flags == "1"
+    reject_rows(path, ~attack & (flags != "0"), flags, "flag is not 0 or 1:")
+    reject_rows(path, ~np.isfinite(scores), scores, "non-finite score")
+    return VerdictSeries(indices=indices, flags=attack, scores=scores)

@@ -1,14 +1,14 @@
 """Prediction-error series, 2-D lagged embedding, and Gaussian augmentation."""
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _freeze
+from .dataio import FLOAT64, INT64, DataFormatError, _freeze, csv_text, read_csv, reject_rows
 from .rng import Rng, derive_seed
+
+ERROR_SERIES_HEADER = ("index", "error")
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,14 @@ def compute_errors(
         raise ValueError(f"predictions {p.shape} and targets {t.shape} must match as (N, C)")
     if len(idx) != len(p):
         raise ValueError("target_indices length mismatch")
-    errors = np.mean(np.abs(p - t), axis=1)
+    return _with_stats(np.mean(np.abs(p - t), axis=1), idx)
+
+
+def _with_stats(errors: np.ndarray, target_indices: np.ndarray) -> ErrorSeries:
+    """The series, with its max as delta and its population std as sigma."""
     return ErrorSeries(
         errors=errors,
-        target_indices=idx,
+        target_indices=target_indices,
         delta=float(np.max(errors)),
         sigma=float(np.std(errors)),
     )
@@ -154,27 +158,21 @@ def augment(
 
 def error_series_csv(series: ErrorSeries) -> str:
     """`index,error` rows; floats use repr for shortest exact round-trip."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "error"])
-    for i in range(len(series)):
-        writer.writerow([int(series.target_indices[i]), repr(float(series.errors[i]))])
-    return buf.getvalue()
+    return csv_text(ERROR_SERIES_HEADER, (series.target_indices, series.errors))
+
+
+def read_error_series(path) -> ErrorSeries:
+    """The error series of an `index,error` CSV, with its max and population std."""
+    layouts = {ERROR_SERIES_HEADER: (INT64, FLOAT64)}
+    indices, errors = read_csv(path, "an error-series file", layouts)
+    reject_rows(path, ~np.isfinite(errors), errors, "non-finite error")
+    if len(errors) == 0:
+        raise DataFormatError(f"{path}: no error rows")
+    return _with_stats(errors, indices)
 
 
 def embedding_csv(embedding: ErrorEmbedding) -> str:
     """`index,e_t,e_lag,weight,synthetic` rows (synthetic as 0/1)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "e_t", "e_lag", "weight", "synthetic"])
-    for i in range(len(embedding)):
-        writer.writerow(
-            [
-                int(embedding.point_indices[i]),
-                repr(float(embedding.points[i, 0])),
-                repr(float(embedding.points[i, 1])),
-                repr(float(embedding.weights[i])),
-                int(embedding.synthetic_flags[i]),
-            ]
-        )
-    return buf.getvalue()
+    synthetic = embedding.synthetic_flags.astype(np.int64)
+    columns = (embedding.point_indices, *embedding.points.T, embedding.weights, synthetic)
+    return csv_text(("index", "e_t", "e_lag", "weight", "synthetic"), columns)

@@ -9,9 +9,7 @@ from the run seed and a genome digest), so results are cached by genome key
 and parallel evaluation cannot change the outcome.
 """
 
-import csv
 import hashlib
-import io
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import TimeSeriesFrame
+from .dataio import TimeSeriesFrame, csv_text
 from .detectors import DETECTOR_KINDS, NonConvergence
 from .forecaster import TrainConfig
 from .pipeline import PipelineSettings, evaluate_frame, fit_pipeline
@@ -343,9 +341,5 @@ def evolution_log_text(result: EvolutionResult) -> str:
 
 def history_csv(result: EvolutionResult) -> str:
     """`generation,best,mean` rows for plotting the fitness trajectory."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["generation", "best", "mean"])
-    for gen, (best, mean) in enumerate(zip(result.best_history, result.mean_history)):
-        writer.writerow([gen, repr(best), repr(mean)])
-    return buf.getvalue()
+    columns = (range(len(result.best_history)), result.best_history, result.mean_history)
+    return csv_text(("generation", "best", "mean"), columns)

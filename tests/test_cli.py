@@ -266,6 +266,66 @@ def test_evaluate_rejects_non_verdict_file(tmp_path, capsys):
     assert "not a verdict file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["true", "2", " 1", ""])
+def test_evaluate_rejects_a_flag_other_than_0_or_1(tmp_path, capsys, token):
+    verdicts = tmp_path / "v.csv"
+    verdicts.write_text(f"index,flag,score\n0,0,0.1\n1,{token},2.0\n")
+    labels = tmp_path / "l.csv"
+    labels.write_text("Timestamp,A,Normal/Attack\n0,1.0,Normal\n1,1.0,Attack\n")
+    assert main(["evaluate", "--verdicts", str(verdicts), "--labels", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cps-sentinel: {verdicts}: malformed row 2: flag is not 0 or 1: {token!r}\n"
+
+
+GOOD_VERDICTS = "index,flag,score\n0,0,0.1\n1,0,0.2\n"
+LABELS_HEADER = "Timestamp,A,Normal/Attack\n0,1.0,Normal\n"
+
+# name -> (command, file it reads, that file's bytes with a fault in data row 2,
+#          expected fragment of the message)
+MALFORMED_CSVS = {
+    "timestamp past int64": (
+        "evaluate", "labels", (LABELS_HEADER + "99999999999999999999,1.0,Normal\n").encode(),
+        "Python int too large",
+    ),
+    "field over the csv field limit": (
+        "evaluate", "labels", (LABELS_HEADER + "1," + "9" * 131073 + ",Normal\n").encode(),
+        "field larger than field limit",
+    ),
+    "byte that is not UTF-8": (
+        "evaluate", "labels", LABELS_HEADER.encode() + b"1,1.0\xff,Normal\n",
+        "can't decode byte 0xff",
+    ),
+    "nan reading": (
+        "evaluate", "labels", (LABELS_HEADER + "1,nan,Normal\n").encode(), "non-finite value",
+    ),
+    "nan error": ("report", "errors", b"index,error\n0,0.5\n1,nan\n2,0.25\n", "non-finite error nan"),
+    "score that is not a number": (
+        "evaluate", "verdicts", b"index,flag,score\n0,0,0.1\n1,1,abc\n",
+        "could not convert string to float: 'abc'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSVS))
+def test_a_malformed_csv_exits_2_naming_file_and_row(tmp_path, capsys, case):
+    command, role, content, reason = MALFORMED_CSVS[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    good = tmp_path / "verdicts.csv"
+    good.write_text(GOOD_VERDICTS)
+    files = {"verdicts": good, "labels": good, "errors": bad, role: bad}
+    if command == "evaluate":
+        argv = ["evaluate", "--verdicts", str(files["verdicts"]), "--labels", str(files["labels"])]
+    else:
+        argv = ["report", "--errors", str(bad), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith(f"cps-sentinel: {bad}: ") and err.count("\n") == 1
+    assert "row 2" in err and reason in err
+
+
 def test_report_round_trips_error_series(workspace):
     detect_out = workspace / "verdicts"
     report_out = workspace / "report"
@@ -287,7 +347,8 @@ def test_report_rejects_malformed_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("index,error\n0,1.0\noops\n")
     assert main(["report", "--errors", str(bad), "--out", str(tmp_path / "r")]) == 2
-    assert "malformed error row" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed row 2: 1 fields, expected 2: ['oops']" in err
 
 
 def test_optimize_micro_run(workspace, tmp_path, capsys):

@@ -51,6 +51,12 @@ def test_load_csv_repeated_timestamp(tmp_path):
         load_csv(path, TWO_CH)
 
 
+def test_load_csv_timestamp_that_wraps_int64(tmp_path):
+    path = write(tmp_path, f"Timestamp,A,B\n{2**63 - 1},1,2\n{-2**63},3,4\n")
+    with pytest.raises(DataFormatError, match="non-monotonic timestamp at row 2"):
+        load_csv(path, TWO_CH)
+
+
 def test_load_csv_gap_timestamp(tmp_path):
     path = write(tmp_path, "Timestamp,A,B\n0,1,2\n2,3,4\n")
     with pytest.raises(DataFormatError, match="non-contiguous timestamp at row 2"):
@@ -71,7 +77,7 @@ def test_load_csv_field_count_mismatch(tmp_path):
 
 def test_load_csv_unknown_label_token(tmp_path):
     path = write(tmp_path, "Timestamp,A,B,Normal/Attack\n0,1,2,Maybe\n")
-    with pytest.raises(DataFormatError, match="unknown label token 'Maybe' at row 1"):
+    with pytest.raises(DataFormatError, match="malformed row 1: unknown label token 'Maybe'"):
         load_csv(path, TWO_CH)
 
 

@@ -23,6 +23,9 @@ VERDICT_HEADER = ("index", "flag", "score")
 KKT_TOL = 1e-6
 WEIGHT_EPS = 1e-6
 SV_CUTOFF = 1e-12
+# Entries per row block in rbf_kernel: a 256 KiB buffer, so a block's
+# passes run in cache.
+KERNEL_BLOCK_ENTRIES = 1 << 15
 
 
 class NonConvergence(RuntimeError):
@@ -98,14 +101,29 @@ class OcsvmModel:
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a_i - b_j||^2) for row sets a, b."""
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    """exp(-gamma * ||a_i - b_j||^2) for row sets a, b.
+
+    The cross products come from one matrix product, which is turned into
+    the kernel in place, a block of rows at a time, through one small
+    buffer. So peak memory is the output plus that buffer, and each entry
+    comes from the same expression, evaluated in the same order, as in
+    `exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))` over whole arrays.
+    """
+    out = a @ b.T
+    a_sq = np.sum(a * a, axis=1)[:, None]
+    b_sq = np.sum(b * b, axis=1)[None, :]
+    block = max(1, KERNEL_BLOCK_ENTRIES // max(1, len(b)))
+    buf = np.empty((min(block, len(a)), len(b)))
+    for lo in range(0, len(a), block):
+        rows = out[lo : lo + block]
+        sq = buf[: len(rows)]
+        np.add(a_sq[lo : lo + block], b_sq, out=sq)
+        rows *= 2.0
+        np.subtract(sq, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+        rows *= -gamma
+        np.exp(rows, out=rows)
+    return out
 
 
 def default_weights(embedding: ErrorEmbedding) -> np.ndarray:
@@ -173,7 +191,9 @@ def ocsvm_fit(
         step = limit if curv <= 0 else min(limit, violation / curv)
         alpha[i] += step
         alpha[j] -= step
-        grad += step * (kernel[:, i] - kernel[:, j])
+        # Rows, not columns: the kernel is exactly symmetric, and a row read
+        # is contiguous.
+        grad += step * (kernel[i] - kernel[j])
     else:
         raise NonConvergence(
             f"one-class SVM dual: KKT violation {violation:.3e} > {KKT_TOL} "

@@ -33,6 +33,10 @@ class ErrorSeries:
             raise ValueError("errors and target_indices must be equal-length 1-D arrays")
         if len(self.errors) == 0:
             raise ValueError("empty error series")
+        if not (math.isfinite(self.delta) and math.isfinite(self.sigma)):
+            raise ValueError(
+                f"error statistics are not finite: delta {self.delta!r}, sigma {self.sigma!r}"
+            )
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -89,12 +93,18 @@ def compute_errors(
 
 
 def _with_stats(errors: np.ndarray, target_indices: np.ndarray) -> ErrorSeries:
-    """The series, with its max as delta and its population std as sigma."""
+    """The series, with its max as delta and its population std as sigma.
+
+    Errors near the float64 limit overflow the std to inf, which ErrorSeries
+    rejects; numpy's overflow warning is silenced, as that error says it all.
+    """
+    with np.errstate(over="ignore"):
+        sigma = float(np.std(errors))
     return ErrorSeries(
         errors=errors,
         target_indices=target_indices,
         delta=float(np.max(errors)),
-        sigma=float(np.std(errors)),
+        sigma=sigma,
     )
 
 
@@ -168,7 +178,10 @@ def read_error_series(path) -> ErrorSeries:
     reject_rows(path, ~np.isfinite(errors), errors, "non-finite error")
     if len(errors) == 0:
         raise DataFormatError(f"{path}: no error rows")
-    return _with_stats(errors, indices)
+    try:
+        return _with_stats(errors, indices)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def embedding_csv(embedding: ErrorEmbedding) -> str:

@@ -34,11 +34,13 @@ class Conv1DSpec:
 
 @dataclass(frozen=True)
 class MaxPool1DSpec:
+    """Non-overlapping max-pool; only pairs (pool 2) are supported."""
+
     pool: int = 2
 
     def __post_init__(self):
-        if self.pool < 1:
-            raise ValueError("pool must be positive")
+        if self.pool != 2:
+            raise ValueError(f"max-pool supports pool 2 only, got {self.pool!r}")
 
 
 @dataclass(frozen=True)
@@ -156,20 +158,17 @@ class MaxPool1DLayer:
         return []
 
     def forward(self, x, training=False, rng=None):
-        b = x.shape[0]
-        p = self.spec.pool
-        xr = x.reshape(b, self.in_len // p, p, self.in_ch)
-        idx = np.argmax(xr, axis=2)
-        y = np.max(xr, axis=2)
-        return y, idx
+        xr = x.reshape(x.shape[0], self.in_len // 2, 2, self.in_ch)
+        a, c = xr[:, :, 0, :], xr[:, :, 1, :]
+        # np.maximum, not np.where(first, a, c): on a -0.0/0.0 tie it returns
+        # the later value, as np.max over the pair does.  The mask routes the
+        # gradient to the first of two equal values, as argmax does.
+        return np.maximum(a, c), a >= c
 
     def backward(self, dy, cache):
-        idx = cache
-        b = dy.shape[0]
-        p = self.spec.pool
-        dxr = np.zeros((b, self.in_len // p, p, self.in_ch))
-        np.put_along_axis(dxr, idx[:, :, None, :], dy[:, :, None, :], axis=2)
-        return dxr.reshape(b, self.in_len, self.in_ch), []
+        first = cache
+        dxr = np.stack((np.where(first, dy, 0.0), np.where(first, 0.0, dy)), axis=2)
+        return dxr.reshape(dy.shape[0], self.in_len, self.in_ch), []
 
 
 class FlattenLayer:

@@ -263,11 +263,20 @@ def adam_step(model: CnnModel, grads: list[np.ndarray], learning_rate: float) ->
     model.adam_t += 1
     t = model.adam_t
     m, v = model.flat_adam_m, model.flat_adam_v
-    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    model.flat_params -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # In place, with the operations of the textbook update in its order:
+    # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    # p -= lr * m_hat / (sqrt(v_hat) + eps).
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += ((1.0 - ADAM_BETA2) * g) * g
+    step = m / (1.0 - ADAM_BETA1**t)
+    step *= learning_rate
+    denom = v / (1.0 - ADAM_BETA2**t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    model.flat_params -= step
 
 
 def _batched_mae(model: CnnModel, inputs: np.ndarray, targets: np.ndarray) -> float:

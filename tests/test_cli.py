@@ -2,6 +2,7 @@ import configparser
 import json
 import shutil
 import subprocess
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -207,6 +208,9 @@ BROKEN_ARTIFACTS = {
         lambda meta, arrays: meta.update(format_version=1), "unsupported artifact format version 1"
     ),
     "v2 artifact": (_as_v2, "unsupported artifact format version 2"),
+    "pool-3 max-pool layer": (
+        lambda meta, arrays: meta["model"]["layer_specs"][1].update(pool=3), "pool 2 only"
+    ),
 }
 
 
@@ -349,6 +353,17 @@ def test_report_rejects_malformed_errors(tmp_path, capsys):
     assert main(["report", "--errors", str(bad), "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert "malformed row 2: 1 fields, expected 2: ['oops']" in err
+
+
+def test_report_rejects_errors_whose_std_overflows(tmp_path, capsys):
+    huge = tmp_path / "huge.csv"
+    huge.write_text("index,error\n0,1e200\n1,2e200\n2,3e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["report", "--errors", str(huge), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"cps-sentinel: {huge}: error statistics are not finite: delta 3e+200, sigma inf\n"
 
 
 def test_optimize_micro_run(workspace, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,59 @@ def test_rbf_kernel_matches_loop_oracle():
         for j in range(4):
             d2 = sum((a[i, c] - b[j, c]) ** 2 for c in range(2))
             assert k[i, j] == pytest.approx(np.exp(-2.5 * d2), rel=1e-12)
+
+
+def one_shot_rbf_kernel(a, b, gamma):
+    """The kernel in one pass over all rows: the blocked kernel's oracle."""
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
+
+
+B_ROWS = 300
+BLOCK = detectors.KERNEL_BLOCK_ENTRIES // B_ROWS
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_rbf_kernel_is_byte_equal_to_the_one_shot_formula(n):
+    rng = Rng(n)
+    a = rng.gauss_array(2 * n).reshape(n, 2) * 0.3
+    b = rng.gauss_array(2 * B_ROWS).reshape(B_ROWS, 2) * 0.3
+    for gamma in (0.5, 7.0):
+        assert rbf_kernel(a, b, gamma).tobytes() == one_shot_rbf_kernel(a, b, gamma).tobytes()
+
+
+def fit_points(n):
+    rng = Rng(n)
+    return np.abs(blob(rng, (0.05, 0.05), 0.03, n))
+
+
+def test_ocsvm_fit_kernel_is_exactly_symmetric(monkeypatch):
+    """The solver reads kernel rows where the dual needs columns."""
+    kernels = []
+
+    def recording_kernel(a, b, gamma):
+        kernels.append(rbf_kernel(a, b, gamma))
+        return kernels[-1]
+
+    monkeypatch.setattr(detectors, "rbf_kernel", recording_kernel)
+    ocsvm_fit(embedding_from(fit_points(1500)), nu=0.1, gamma=3.0)
+    (kernel,) = kernels
+    assert kernel.shape == (1500, 1500)
+    assert np.array_equal(kernel, kernel.T)
+
+
+def test_ocsvm_fit_peak_memory_is_the_kernel_plus_small_blocks():
+    n = 3000
+    emb = embedding_from(fit_points(n))
+    tracemalloc.start()
+    try:
+        ocsvm_fit(emb, nu=0.1, gamma=3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kernel_bytes = 8 * n * n
+    assert peak < 1.5 * kernel_bytes, f"peak {peak / kernel_bytes:.2f}x the kernel"
 
 
 def test_default_weights_are_error_proportional_with_unit_mean():

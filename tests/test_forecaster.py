@@ -130,6 +130,46 @@ def test_maxpool_rejects_indivisible_length():
         MaxPool1DLayer(MaxPool1DSpec(pool=2), in_len=5, in_ch=1)
 
 
+def reference_maxpool(x, dy, pool):
+    """The general argmax pool: value, winner index and routed gradient."""
+    b, length, ch = x.shape
+    xr = x.reshape(b, length // pool, pool, ch)
+    idx = np.argmax(xr, axis=2)
+    y = np.max(xr, axis=2)
+    dxr = np.zeros((b, length // pool, pool, ch))
+    np.put_along_axis(dxr, idx[:, :, None, :], dy[:, :, None, :], axis=2)
+    return y, idx, dxr.reshape(b, length, ch)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "none"])
+def test_maxpool_matches_the_argmax_reference_bit_for_bit(activation):
+    """Ties and signed zeros included: the first of two equal inputs wins."""
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    draw = np.random.default_rng(17)
+    layer = MaxPool1DLayer(MaxPool1DSpec(pool=2), in_len=8, in_ch=3)
+    for _ in range(20):
+        z = draw.choice(values, size=(16, 8, 3))
+        x = {"relu": np.maximum(z, 0.0), "tanh": np.tanh(z), "none": z}[activation]
+        dy = draw.choice(values, size=(16, 4, 3)) * draw.uniform(0.5, 2.0, size=(16, 4, 3))
+        want_y, idx, want_dx = reference_maxpool(x, dy, 2)
+        y, first = layer.forward(x)
+        dx, grads = layer.backward(dy, first)
+        np.testing.assert_array_equal(bits(y), bits(want_y))
+        np.testing.assert_array_equal(first, idx == 0)
+        np.testing.assert_array_equal(bits(dx), bits(want_dx))
+        assert grads == []
+
+
+@pytest.mark.parametrize("pool", [0, 1, 3, 4])
+def test_maxpool_spec_supports_pool_2_only(pool):
+    with pytest.raises(ValueError, match="pool 2 only"):
+        MaxPool1DSpec(pool=pool)
+
+
 def test_flatten_round_trip():
     layer = FlattenLayer(FlattenSpec(), in_len=3, in_ch=2)
     x = np.arange(12.0).reshape(2, 3, 2)
@@ -218,6 +258,30 @@ def test_adam_step_matches_the_per_tensor_update():
     for got, want in zip((model.params, model.adam_m, model.adam_v), (params, ms, vs)):
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+
+def test_adam_step_from_non_zero_moments_matches_a_copying_update():
+    """Several steps from non-zero m, v and t: each moment update reads the
+    gradient and the previous moment, never a value updated earlier in the
+    same step."""
+    model = build_model(4, 2, SMALL_STACK, seed=12)
+    rng = Rng(8)
+    size = model.flat_params.size
+    model.flat_adam_m[...] = rng.uniform_array(size) - 0.5
+    model.flat_adam_v[...] = rng.uniform_array(size) * 0.01
+    model.adam_t = 7
+    p, m, v = (x.copy() for x in (model.flat_params, model.flat_adam_m, model.flat_adam_v))
+    for t in range(8, 12):
+        grads = [rng.uniform_array(q.size).reshape(q.shape) - 0.5 for q in model.params]
+        adam_step(model, grads, 0.003)
+        g = np.concatenate([x.ravel() for x in grads])
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        p = p - 0.003 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+    assert model.adam_t == 11
+    np.testing.assert_array_equal(model.flat_adam_m, m)
+    np.testing.assert_array_equal(model.flat_adam_v, v)
+    np.testing.assert_array_equal(model.flat_params, p)
 
 
 def test_parameters_are_views_of_one_flat_vector():

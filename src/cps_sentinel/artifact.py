@@ -4,12 +4,16 @@ module that knows its layout.
 One JSON metadata blob plus exact float64 arrays: every parameter round
 trips bit-exactly, so detection results are reproducible across hosts.
 Dataclasses are stored field by field, the forecaster as three flat vectors
-(parameters, Adam's two moments). Loading checks every entry it reads and
-raises ValueError naming the first one that is missing or malformed.
+(parameters, Adam's two moments) and its step count; its architecture is not
+stored, as the settings and the channel schema determine it. Loading checks
+every entry it reads and raises ValueError naming the first one that is
+missing or malformed.
 """
 
 import json
+import sys
 import zipfile
+import zlib
 from dataclasses import MISSING, fields
 from typing import get_args, get_origin
 
@@ -17,17 +21,11 @@ import numpy as np
 
 from .dataio import ChannelSchema, MinMaxScaler
 from .detectors import KMEANS, OCSVM, THRESHOLD, KmeansModel, OcsvmModel, ThresholdModel
-from .forecaster import CnnModel, Conv1DSpec, DenseSpec, FlattenSpec, MaxPool1DSpec, build_model
-from .pipeline import FittedPipeline, PipelineSettings
+from .forecaster import CnnModel
+from .pipeline import FittedPipeline, PipelineSettings, build_forecaster
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
-_LAYER_KINDS = {
-    "conv1d": Conv1DSpec,
-    "maxpool1d": MaxPool1DSpec,
-    "flatten": FlattenSpec,
-    "dense": DenseSpec,
-}
 # Keyed by PipelineSettings.detector, the one record of which detector a
 # pipeline runs.
 _DETECTOR_CLASSES = {THRESHOLD: ThresholdModel, OCSVM: OcsvmModel, KMEANS: KmeansModel}
@@ -63,7 +61,9 @@ def _get(meta: dict, key: str, annotation, where: str):
         if ok and all(type(v) in _JSON_TYPES[item] for v in value):
             return tuple(value)
     elif type(value) in _JSON_TYPES[annotation]:
-        return annotation(value)
+        # Finite floats only; the comparison is exact for huge JSON integers too.
+        if annotation is not float or abs(value) <= sys.float_info.max:
+            return annotation(value)
     raise ValueError(f"artifact field {where}.{key} is missing or malformed: {value!r:.60}")
 
 
@@ -94,24 +94,13 @@ def _decode(cls, meta: dict, section: str, arrays: dict):
 def _encode_model(model: CnnModel, arrays: dict) -> dict:
     for name in _MODEL_VECTORS:
         arrays[f"model.{name}"] = getattr(model, f"flat_{name}")
-    kind_of = {cls: kind for kind, cls in _LAYER_KINDS.items()}
-    return {
-        "input_shape": list(model.input_shape),
-        "layer_specs": [{"kind": kind_of[type(s)], **_encode(s, "", {})} for s in model.specs],
-        "adam_t": model.adam_t,
-    }
+    return {"adam_t": model.adam_t}
 
 
-def _decode_model(meta: dict, arrays: dict) -> CnnModel:
-    w, channels = _get(meta, "input_shape", tuple[int, int], "model")
-    specs = []
-    for i, spec in enumerate(_get(meta, "layer_specs", list, "model")):
-        where = f"model.layer_specs[{i}]"
-        cls = _LAYER_KINDS.get(_get(spec, "kind", str, where))
-        if cls is None:
-            raise ValueError(f"artifact field {where}.kind is unknown: {spec['kind']!r}")
-        specs.append(_decode(cls, spec, where, {}))
-    model = build_model(w, channels, specs, seed=0)
+def _decode_model(settings: PipelineSettings, channels: int, meta: dict, arrays: dict) -> CnnModel:
+    """The settings' forecaster, holding the stored vectors; a vector whose
+    shape the settings do not produce is rejected."""
+    model = build_forecaster(settings, channels, seed=0)
     for name in _MODEL_VECTORS:
         flat = getattr(model, f"flat_{name}")
         flat[...] = _array(arrays, f"model.{name}", flat.shape)
@@ -138,11 +127,15 @@ def save_pipeline(path, fitted: FittedPipeline) -> None:
 
 
 def load_pipeline(path) -> FittedPipeline:
-    try:
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise ValueError(f"{path}: not an artifact ({exc})") from None
+    # zipfile and numpy raise any of these on a broken archive, on a member
+    # encrypted or compressed in a way they cannot decode, or on a bad header.
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as data:
+                arrays = {k: data[k] for k in data.files}
+        except (zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError, EOFError,
+                OSError, ValueError) as exc:
+            raise ValueError(f"{path}: not an artifact ({exc})") from None
     if "meta" not in arrays:
         raise ValueError(f"{path}: not an artifact (no metadata)")
     meta = json.loads(bytes(arrays.pop("meta")))
@@ -157,13 +150,12 @@ def load_pipeline(path) -> FittedPipeline:
     schema = part(ChannelSchema, "schema")
     scaler = part(MinMaxScaler, "scaler")
     detector = part(_DETECTOR_CLASSES[settings.detector], "detector")
-    model = _decode_model(_get(meta, "model", dict, "artifact"), arrays)
     channels = schema.channel_count
-    if model.input_shape != (settings.window, channels) or scaler.mins.shape != (channels,):
+    if scaler.mins.shape != (channels,):
         raise ValueError(
-            f"artifact parts disagree: model input {model.input_shape}, window "
-            f"{settings.window}, {channels} channels, {len(scaler.mins)} scaler entries"
+            f"artifact parts disagree: {channels} channels, {len(scaler.mins)} scaler entries"
         )
+    model = _decode_model(settings, channels, _get(meta, "model", dict, "artifact"), arrays)
     return FittedPipeline(
         settings=settings,
         schema=schema,

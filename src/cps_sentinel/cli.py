@@ -62,9 +62,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file not found: {path}")
+    """The INI file at `path`, whose values are taken literally (no `%`
+    interpolation); a file that does not parse raises ValueError."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {str(exc).splitlines()[0]}") from None
     return parser
 
 
@@ -139,7 +144,7 @@ def _history_text(history: TrainHistory) -> str:
 
 def _cmd_simulate(args) -> int:
     config = _read_config(args.config)
-    plant, attacks = plantsim.load_plant_config(args.config)
+    plant, attacks = plantsim.load_plant_config(config)
     normal_steps = _option(config, "simulate", "normal_steps", 5000, int)
     test_steps = _option(config, "simulate", "test_steps", 1000, int)
     test_seed = _option(config, "simulate", "test_seed", plant.seed + 1, int)

@@ -92,12 +92,13 @@ class OcsvmModel:
     support_vectors: np.ndarray
     alphas: np.ndarray
     rho: float
-    sample_weights: np.ndarray
 
     def __post_init__(self):
         n = len(self.alphas)
         if n == 0 or np.shape(self.support_vectors) != (n, 2) or np.shape(self.alphas) != (n,):
             raise ValueError("one-class SVM needs n >= 1 2-D support vectors with one alpha each")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -222,7 +223,6 @@ def ocsvm_fit(
         support_vectors=points[keep].copy(),
         alphas=alpha[keep].copy(),
         rho=rho,
-        sample_weights=weights,
     )
 
 

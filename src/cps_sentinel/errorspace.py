@@ -52,7 +52,6 @@ class ErrorEmbedding:
     points: np.ndarray
     point_indices: np.ndarray
     lag: int
-    weights: np.ndarray
     synthetic_flags: np.ndarray
 
     def __post_init__(self):
@@ -60,19 +59,16 @@ class ErrorEmbedding:
         object.__setattr__(
             self, "point_indices", _freeze(np.asarray(self.point_indices, dtype=np.int64))
         )
-        object.__setattr__(self, "weights", _freeze(np.asarray(self.weights, dtype=np.float64)))
         object.__setattr__(
             self, "synthetic_flags", _freeze(np.asarray(self.synthetic_flags, dtype=bool))
         )
         n = len(self.points)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be an (N, 2) array")
-        if len(self.point_indices) != n or len(self.weights) != n or len(self.synthetic_flags) != n:
+        if len(self.point_indices) != n or len(self.synthetic_flags) != n:
             raise ValueError("per-point arrays must share one length")
         if self.lag < 0:
             raise ValueError("lag must be non-negative")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -125,7 +121,6 @@ def embed(series: ErrorSeries, lag: int = 1) -> ErrorEmbedding:
         points=points,
         point_indices=series.target_indices[lag:],
         lag=lag,
-        weights=np.ones(n),
         synthetic_flags=np.zeros(n, dtype=bool),
     )
 
@@ -159,7 +154,6 @@ def augment(
             [embedding.point_indices, np.full(count, -1, dtype=np.int64)]
         ),
         lag=embedding.lag,
-        weights=np.concatenate([embedding.weights, np.ones(count)]),
         synthetic_flags=np.concatenate(
             [embedding.synthetic_flags, np.ones(count, dtype=bool)]
         ),
@@ -185,7 +179,7 @@ def read_error_series(path) -> ErrorSeries:
 
 
 def embedding_csv(embedding: ErrorEmbedding) -> str:
-    """`index,e_t,e_lag,weight,synthetic` rows (synthetic as 0/1)."""
+    """`index,e_t,e_lag,synthetic` rows (synthetic as 0/1)."""
     synthetic = embedding.synthetic_flags.astype(np.int64)
-    columns = (embedding.point_indices, *embedding.points.T, embedding.weights, synthetic)
-    return csv_text(("index", "e_t", "e_lag", "weight", "synthetic"), columns)
+    columns = (embedding.point_indices, *embedding.points.T, synthetic)
+    return csv_text(("index", "e_t", "e_lag", "synthetic"), columns)

@@ -34,13 +34,7 @@ class Conv1DSpec:
 
 @dataclass(frozen=True)
 class MaxPool1DSpec:
-    """Non-overlapping max-pool; only pairs (pool 2) are supported."""
-
-    pool: int = 2
-
-    def __post_init__(self):
-        if self.pool != 2:
-            raise ValueError(f"max-pool supports pool 2 only, got {self.pool!r}")
+    """Non-overlapping max-pool over pairs: it halves the length."""
 
 
 @dataclass(frozen=True)
@@ -145,13 +139,11 @@ class Conv1DLayer:
 
 class MaxPool1DLayer:
     def __init__(self, spec: MaxPool1DSpec, in_len: int, in_ch: int):
-        if in_len % spec.pool != 0:
-            raise ShapeError(
-                f"pool size {spec.pool} does not divide input length {in_len}"
-            )
+        if in_len % 2 != 0:
+            raise ShapeError(f"pool size 2 does not divide input length {in_len}")
         self.spec = spec
         self.in_len, self.in_ch = in_len, in_ch
-        self.out_shape = (in_len // spec.pool, in_ch)
+        self.out_shape = (in_len // 2, in_ch)
 
     @property
     def params(self):

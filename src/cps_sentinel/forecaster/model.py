@@ -99,9 +99,9 @@ def default_stack(
     """The reference conv-pool-conv-pool-flatten-dense stack, C-generic."""
     return [
         Conv1DSpec(filters=conv_filters[0], kernel_size=kernel_size),
-        MaxPool1DSpec(pool=2),
+        MaxPool1DSpec(),
         Conv1DSpec(filters=conv_filters[1], kernel_size=kernel_size),
-        MaxPool1DSpec(pool=2),
+        MaxPool1DSpec(),
         FlattenSpec(),
         DenseSpec(units=dense_units[0], activation=TANH, dropout=dropout),
         DenseSpec(units=dense_units[1], activation=TANH, dropout=dropout),
@@ -123,10 +123,9 @@ class CnnModel:
     are pure and thread-safe.
     """
 
-    def __init__(self, input_shape: tuple[int, int], layers: list, specs: list):
+    def __init__(self, input_shape: tuple[int, int], layers: list):
         self.input_shape = input_shape
         self.layers = layers
-        self.specs = specs
         tensors = [p for layer in layers for p in layer.params]
         offsets = np.cumsum([p.size for p in tensors])[:-1]
 
@@ -224,10 +223,8 @@ def build_model(w: int, channels: int, specs: list, seed: int = 0) -> CnnModel:
         elif isinstance(spec, MaxPool1DSpec):
             if len(shape) != 2:
                 raise ShapeError(f"{where}: expects sequence input, got {shape}")
-            if shape[0] % spec.pool != 0:
-                raise ShapeError(
-                    f"{where}: pool {spec.pool} does not divide length {shape[0]}"
-                )
+            if shape[0] % 2 != 0:
+                raise ShapeError(f"{where}: pool 2 does not divide length {shape[0]}")
             layers.append(MaxPool1DLayer(spec, shape[0], shape[1]))
         elif isinstance(spec, FlattenSpec):
             if len(shape) != 2:
@@ -247,7 +244,7 @@ def build_model(w: int, channels: int, specs: list, seed: int = 0) -> CnnModel:
     last = specs[-1] if specs else None
     if not isinstance(last, DenseSpec) or last.activation != SIGMOID:
         raise ShapeError("final layer must be Dense with sigmoid activation")
-    return CnnModel(input_shape=(w, channels), layers=layers, specs=list(specs))
+    return CnnModel(input_shape=(w, channels), layers=layers)
 
 
 def adam_step(model: CnnModel, grads: list[np.ndarray], learning_rate: float) -> None:

@@ -92,6 +92,23 @@ class FittedPipeline:
     history: TrainHistory | None = None
 
 
+def build_forecaster(settings: PipelineSettings, channels: int, seed: int) -> CnnModel:
+    """The untrained forecaster of `settings` for `channels` channels.
+
+    The settings are the only record of its architecture: training builds
+    it here, and loading an artifact builds it here before filling in the
+    stored parameters.
+    """
+    specs = default_stack(
+        channels=channels,
+        conv_filters=(settings.conv1, settings.conv2),
+        kernel_size=settings.kernel,
+        dense_units=(settings.dense1, settings.dense2),
+        dropout=settings.dropout,
+    )
+    return build_model(settings.window, channels, specs, seed=seed)
+
+
 def fit_pipeline(
     train_frame: TimeSeriesFrame,
     settings: PipelineSettings,
@@ -117,19 +134,7 @@ def fit_pipeline(
     scaler = fit_minmax(train_frame)
     scaled_train = apply_minmax(scaler, train_frame)
     windows = make_windows(scaled_train, settings.window)
-    specs = default_stack(
-        channels=train_frame.schema.channel_count,
-        conv_filters=(settings.conv1, settings.conv2),
-        kernel_size=settings.kernel,
-        dense_units=(settings.dense1, settings.dense2),
-        dropout=settings.dropout,
-    )
-    model = build_model(
-        settings.window,
-        train_frame.schema.channel_count,
-        specs,
-        seed=derive_seed(seed, 0x02),
-    )
+    model = build_forecaster(settings, train_frame.schema.channel_count, derive_seed(seed, 0x02))
     history = train(model, windows, config)
 
     predictions, batch = predict_series(model, scaled_train)

@@ -239,18 +239,20 @@ def _parse_manipulation(raw: str) -> tuple:
     raise ValueError(f"unknown manipulation {raw!r}")
 
 
-def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
-    """Read a [plant] section plus repeated [attack.*] blocks from an INI file.
+def load_plant_config(parser) -> tuple[PlantConfig, list[AttackSpec]]:
+    """The [plant] section plus repeated [attack.*] blocks of a parsed INI
+    file, or of the INI file at the path `parser`.
 
     Plant keys: stages, capacity, inflow, outflow, noise_sigma, seed; the
     rate/capacity keys accept a single value or a per-stage comma list.
     Attack keys: category, start, duration, targets ("stage:channel" comma
-    list), manipulation ("freeze" | "offset:amount" | "force:state").
+    list), manipulation ("freeze" | "offset:amount" | "force:state"); start,
+    duration and targets are required.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(path)
+    if not isinstance(parser, configparser.ConfigParser):
+        path, parser = parser, configparser.ConfigParser(interpolation=None)
+        if not parser.read(path):
+            raise FileNotFoundError(path)
     if "plant" not in parser:
         raise ValueError("config has no [plant] section")
     plant = parser["plant"]
@@ -268,6 +270,9 @@ def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
         if not section.startswith("attack"):
             continue
         block = parser[section]
+        missing = [key for key in ("start", "duration", "targets") if key not in block]
+        if missing:
+            raise ValueError(f"[{section}] is missing {missing[0]}")
         attacks.append(
             AttackSpec(
                 category=block.get("category", SSSP),

@@ -1,8 +1,23 @@
+import contextlib
+import io
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
+from cps_sentinel.cli import main
 from cps_sentinel.dataio import ChannelSchema, TimeSeriesFrame
 from cps_sentinel.rng import Rng
+
+# Hypothesis runs: deterministic, bounded, and leaving no example database behind.
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# Hypothesis caches what it learns from the source under its home directory,
+# ./.hypothesis by default, while collecting; keep that out of the working tree.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def make_frame(values, labels=None, start=0):
@@ -27,6 +42,14 @@ def random_frame(rows, channels, seed=0, start=0):
     rng = Rng(seed)
     values = rng.uniform_array(rows * channels).reshape(rows, channels)
     return make_frame(values, start=start)
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """`main(argv)` with stdout discarded: its exit code and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 @pytest.fixture

@@ -76,14 +76,13 @@ def series_from(errors, start=0):
     )
 
 
-def embedding_from(points, synthetic=None, weights=None):
+def embedding_from(points, synthetic=None):
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     return ErrorEmbedding(
         points=points,
         point_indices=np.arange(n, dtype=np.int64),
         lag=1,
-        weights=np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64),
         synthetic_flags=(
             np.zeros(n, dtype=bool) if synthetic is None else np.asarray(synthetic, dtype=bool)
         ),

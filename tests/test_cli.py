@@ -101,6 +101,46 @@ def test_missing_config_exits_2(capsys):
     assert "cps-sentinel: " in capsys.readouterr().err
 
 
+# name -> (config text that does not parse, expected fragment of the message)
+UNPARSABLE_CONFIGS = {
+    "no section header": ("window = 8\n", "File contains no section headers."),
+    "duplicate section": (
+        "[plant]\nseed = 1\n[plant]\nseed = 2\n", "section 'plant' already exists"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "simulate", "optimize"])
+@pytest.mark.parametrize("case", sorted(UNPARSABLE_CONFIGS))
+def test_a_config_that_does_not_parse_exits_2_in_one_line(tmp_path, capsys, command, case):
+    text, reason = UNPARSABLE_CONFIGS[case]
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cps-sentinel: {cfg}: ") and err.count("\n") == 1
+    assert reason in err
+
+
+def test_config_values_are_not_interpolated(tmp_path, capsys):
+    cfg = tmp_path / "plant.ini"
+    cfg.write_text("[plant]\nnoise_sigma = 5%\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "cps-sentinel: could not convert string to float: '5%'\n"
+
+
+@pytest.mark.parametrize("key", ["start", "duration", "targets"])
+def test_simulate_rejects_an_attack_without_a_required_key(tmp_path, capsys, key):
+    lines = [line for line in PLANT_INI.splitlines() if not line.startswith(f"{key} =")]
+    cfg = tmp_path / "plant.ini"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"cps-sentinel: [attack.1] is missing {key}\n"
+
+
 def test_config_without_paths_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bare.ini"
     cfg.write_text("[forecaster]\nwindow = 8\n")
@@ -177,6 +217,18 @@ def _drop(mapping, key):
     del mapping[key]
 
 
+def _as_v3(meta, arrays):
+    """The model as format version 3 stored it: its architecture besides the settings."""
+    meta["model"]["input_shape"] = [meta["settings"]["window"], 4]
+    meta["model"]["layer_specs"] = [{"kind": "maxpool1d", "pool": 2}]
+    meta["format_version"] = 3
+
+
+def _shrink_scaler(meta, arrays):
+    for key in ("scaler.mins", "scaler.maxs"):
+        arrays[key] = arrays[key][:-1]
+
+
 def _as_v2(meta, arrays):
     """The settings as format version 2 stored them."""
     settings = meta["settings"]
@@ -208,8 +260,19 @@ BROKEN_ARTIFACTS = {
         lambda meta, arrays: meta.update(format_version=1), "unsupported artifact format version 1"
     ),
     "v2 artifact": (_as_v2, "unsupported artifact format version 2"),
-    "pool-3 max-pool layer": (
-        lambda meta, arrays: meta["model"]["layer_specs"][1].update(pool=3), "pool 2 only"
+    "v3 artifact": (_as_v3, "unsupported artifact format version 3"),
+    "conv1 that disagrees with the stored parameters": (
+        lambda meta, arrays: meta["settings"].update(conv1=9), "model.params must be"
+    ),
+    "scaler with the wrong channel count": (
+        _shrink_scaler, "artifact parts disagree: 4 channels, 3 scaler entries"
+    ),
+    "nan threshold base": (
+        lambda meta, arrays: meta["detector"].update(delta=float("nan")),
+        "detector.delta is missing or malformed: nan",
+    ),
+    "float gene past the float range": (
+        lambda meta, arrays: meta["settings"].update(beta=10**400), "settings.beta is missing"
     ),
 }
 
@@ -343,7 +406,7 @@ def test_report_round_trips_error_series(workspace):
         detect_out / "errors.csv"
     ).read_bytes()
     embedding = (report_out / "embedding.csv").read_text().splitlines()
-    assert embedding[0] == "index,e_t,e_lag,weight,synthetic"
+    assert embedding[0] == "index,e_t,e_lag,synthetic"
     assert len(embedding) == 1 + (192 - 2)
 
 

@@ -6,31 +6,21 @@ CLI exit with anything but 0 or 2 and, on 2, one stderr line.
 """
 
 import contextlib
-import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from cps_sentinel import dataio
-from cps_sentinel.cli import main
 from cps_sentinel.dataio import DataFormatError, load_csv, read_header, save_csv
 from cps_sentinel.detectors import VerdictSeries, read_verdicts, verdict_csv
 from cps_sentinel.errorspace import ErrorSeries, error_series_csv, read_error_series
 
-from conftest import make_frame
-
-# Deterministic, bounded, and leaves no example database behind.
-SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
-
-# Hypothesis caches what it learns from the source under its home directory,
-# ./.hypothesis by default, while collecting; keep that out of the working tree.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+from conftest import SETTINGS
+from conftest import make_frame, run_cli
 
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
@@ -162,13 +152,6 @@ def test_readers_raise_only_data_format_errors(data):
         only_data_format_errors(read_verdicts, path)
         only_data_format_errors(read_error_series, path)
         only_data_format_errors(read_header, path)
-
-
-def run_cli(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, err.getvalue()
 
 
 @SETTINGS

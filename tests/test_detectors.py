@@ -42,7 +42,7 @@ def series_from(errors, start=0):
     )
 
 
-def embedding_from(points, synthetic=None, weights=None, start=0):
+def embedding_from(points, synthetic=None, start=0):
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     if synthetic is None:
@@ -52,7 +52,6 @@ def embedding_from(points, synthetic=None, weights=None, start=0):
         points=points,
         point_indices=indices,
         lag=1,
-        weights=np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64),
         synthetic_flags=np.asarray(synthetic, dtype=bool),
     )
 
@@ -185,7 +184,7 @@ def test_default_weights_are_error_proportional_with_unit_mean():
 
 
 def fit_and_objective(points, nu, gamma, weights):
-    emb = embedding_from(points, weights=None)
+    emb = embedding_from(points)
     model = ocsvm_fit(emb, nu=nu, gamma=gamma, sample_weights=weights)
     # Reassemble the full alpha vector from the kept support vectors.
     kernel = rbf_kernel(model.support_vectors, model.support_vectors, gamma)
@@ -215,7 +214,8 @@ def test_ocsvm_alpha_constraints():
     emb = embedding_from(points)
     model = ocsvm_fit(emb, nu=0.1, gamma=2.0)
     assert model.alphas.sum() == pytest.approx(1.0, abs=1e-9)
-    upper = model.sample_weights / (0.1 * 120 * np.mean(model.sample_weights))
+    weights = default_weights(emb)
+    upper = weights / (0.1 * 120 * np.mean(weights))
     assert np.all(model.alphas > 0)
     # Kept alphas obey their own caps (support vectors keep original order).
     assert len(model.alphas) <= 120
@@ -473,7 +473,6 @@ def test_detector_state_round_trips():
     assert back.nu == svm.nu and back.gamma == svm.gamma and back.rho == svm.rho
     np.testing.assert_array_equal(back.support_vectors, svm.support_vectors)
     np.testing.assert_array_equal(back.alphas, svm.alphas)
-    np.testing.assert_array_equal(back.sample_weights, svm.sample_weights)
 
     kmeans = kmeans_fit(mixed_blob_embedding(seed=7), seed=0)
     back = round_trip(kmeans)
@@ -492,6 +491,8 @@ def test_fitted_models_reject_malformed_arrays():
         replace(svm, alphas=svm.alphas[:-1])
     with pytest.raises(ValueError, match="support vectors"):
         replace(svm, support_vectors=svm.support_vectors[:, :1])
+    with pytest.raises(ValueError, match="gamma"):
+        replace(svm, gamma=-1.0)
     kmeans = kmeans_fit(mixed_blob_embedding(seed=7), seed=0)
     with pytest.raises(ValueError, match="centroids"):
         replace(kmeans, centroids=kmeans.centroids[:1])

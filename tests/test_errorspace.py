@@ -59,7 +59,6 @@ def test_embed_lag_one_hand_example():
     np.testing.assert_array_equal(emb.points, [[2.0, 1.0], [3.0, 2.0]])
     np.testing.assert_array_equal(emb.point_indices, [1, 2])
     assert not emb.synthetic_flags.any()
-    np.testing.assert_array_equal(emb.weights, [1.0, 1.0])
 
 
 def test_embed_maximum_lag_leaves_one_point():
@@ -120,7 +119,6 @@ def test_augment_preserves_originals_in_order():
     np.testing.assert_array_equal(out.point_indices[:n], emb.point_indices)
     assert not out.synthetic_flags[:n].any()
     assert out.synthetic_flags[n:].all()
-    np.testing.assert_array_equal(out.weights, 1.0)
 
 
 def test_augment_statistics_match_target_distribution():
@@ -175,15 +173,12 @@ def test_embedding_validation():
         points=np.ones((2, 2)),
         point_indices=np.arange(2),
         lag=1,
-        weights=np.ones(2),
         synthetic_flags=np.zeros(2, dtype=bool),
     )
     with pytest.raises(ValueError, match=r"\(N, 2\)"):
         ErrorEmbedding(**{**ok, "points": np.ones((2, 3))})
     with pytest.raises(ValueError, match="one length"):
-        ErrorEmbedding(**{**ok, "weights": np.ones(3)})
-    with pytest.raises(ValueError, match="non-negative"):
-        ErrorEmbedding(**{**ok, "weights": np.array([1.0, -1.0])})
+        ErrorEmbedding(**{**ok, "synthetic_flags": np.zeros(3, dtype=bool)})
     with pytest.raises(ValueError, match="lag"):
         ErrorEmbedding(**{**ok, "lag": -1})
 
@@ -198,10 +193,10 @@ def test_embedding_csv_format():
     out = augment(emb, delta=3.0, sigma_train=0.0, fraction=0.5)
     text = embedding_csv(out)
     lines = text.splitlines()
-    assert lines[0] == "index,e_t,e_lag,weight,synthetic"
-    assert lines[1] == "1,2.0,1.0,1.0,0"
-    assert lines[2] == "2,3.0,2.0,1.0,0"
-    assert lines[3] == "-1,6.0,6.0,1.0,1"
+    assert lines[0] == "index,e_t,e_lag,synthetic"
+    assert lines[1] == "1,2.0,1.0,0"
+    assert lines[2] == "2,3.0,2.0,0"
+    assert lines[3] == "-1,6.0,6.0,1"
 
 
 def test_csv_floats_round_trip_exactly():

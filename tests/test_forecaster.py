@@ -26,13 +26,14 @@ from cps_sentinel.forecaster.layers import (
     MaxPool1DLayer,
 )
 from cps_sentinel.dataio import make_windows
+from cps_sentinel.pipeline import PipelineSettings, build_forecaster
 from cps_sentinel.rng import Rng
 
 from conftest import random_frame
 
 SMALL_STACK = [
     Conv1DSpec(filters=3, kernel_size=3),
-    MaxPool1DSpec(pool=2),
+    MaxPool1DSpec(),
     FlattenSpec(),
     DenseSpec(units=4, activation="tanh", dropout=0.0),
     DenseSpec(units=2, activation="sigmoid", dropout=0.0),
@@ -117,7 +118,7 @@ def test_conv_hand_example():
 
 
 def test_maxpool_forward_and_gradient_routing():
-    layer = MaxPool1DLayer(MaxPool1DSpec(pool=2), in_len=4, in_ch=1)
+    layer = MaxPool1DLayer(MaxPool1DSpec(), in_len=4, in_ch=1)
     x = np.array([[[1.0], [5.0], [3.0], [2.0]]])
     y, cache = layer.forward(x)
     np.testing.assert_array_equal(y, [[[5.0], [3.0]]])
@@ -127,7 +128,7 @@ def test_maxpool_forward_and_gradient_routing():
 
 def test_maxpool_rejects_indivisible_length():
     with pytest.raises(ShapeError, match="does not divide"):
-        MaxPool1DLayer(MaxPool1DSpec(pool=2), in_len=5, in_ch=1)
+        MaxPool1DLayer(MaxPool1DSpec(), in_len=5, in_ch=1)
 
 
 def reference_maxpool(x, dy, pool):
@@ -150,7 +151,7 @@ def test_maxpool_matches_the_argmax_reference_bit_for_bit(activation):
     """Ties and signed zeros included: the first of two equal inputs wins."""
     values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
     draw = np.random.default_rng(17)
-    layer = MaxPool1DLayer(MaxPool1DSpec(pool=2), in_len=8, in_ch=3)
+    layer = MaxPool1DLayer(MaxPool1DSpec(), in_len=8, in_ch=3)
     for _ in range(20):
         z = draw.choice(values, size=(16, 8, 3))
         x = {"relu": np.maximum(z, 0.0), "tanh": np.tanh(z), "none": z}[activation]
@@ -162,12 +163,6 @@ def test_maxpool_matches_the_argmax_reference_bit_for_bit(activation):
         np.testing.assert_array_equal(first, idx == 0)
         np.testing.assert_array_equal(bits(dx), bits(want_dx))
         assert grads == []
-
-
-@pytest.mark.parametrize("pool", [0, 1, 3, 4])
-def test_maxpool_spec_supports_pool_2_only(pool):
-    with pytest.raises(ValueError, match="pool 2 only"):
-        MaxPool1DSpec(pool=pool)
 
 
 def test_flatten_round_trip():
@@ -464,15 +459,16 @@ def test_predict_series_chunking_is_transparent(monkeypatch):
 def test_save_load_round_trip_bit_exact(tmp_path):
     frame = random_frame(50, 2, seed=30)
     batch = make_windows(frame, 4)
-    model = build_model(4, 2, SMALL_STACK, seed=6)
+    settings = PipelineSettings(window=4, conv1=3, conv2=2, dense1=4, dense2=3, dropout=0.0)
+    model = build_forecaster(settings, 2, seed=6)
     train(model, batch, TrainConfig(epochs=3, batch_size=8, early_stop_patience=3))
     path = tmp_path / "model.npz"
     arrays = {}
     meta = _encode_model(model, arrays)
     np.savez(path, **arrays)
     with np.load(path) as data:
-        loaded = _decode_model(json.loads(json.dumps(meta)), dict(data))
-    assert loaded.specs == model.specs
+        loaded = _decode_model(settings, 2, json.loads(json.dumps(meta)), dict(data))
+    assert [layer.spec for layer in loaded.layers] == [layer.spec for layer in model.layers]
     assert loaded.adam_t == model.adam_t
     for a, b in zip(model.params, loaded.params):
         np.testing.assert_array_equal(a, b)

@@ -76,15 +76,15 @@ SIMULATED = {
 HISTORY_AND_EMBEDDING = {
     "threshold": (
         "89ba828c6993f331bac98622515c8dcbdae5366d46e2cf33b84e906f0260d6d4",
-        "d2d32a0aa736584d0022e17e27171380156f4adc52321d7de2a52a9f5dcd9deb",
+        "7cbf6678a3f910dbbb7d979466b0154e643de2e8824ede745dddacf978bd18b1",
     ),
     "ocsvm": (
         "69cdf69edb9f7f1c3e66f24aff5e821e024c9ed7bd7791dfb74a7a37e809ca31",
-        "360a9d5286220107fad45dea5cbaa0705fd39023482b3291a6df59d07bdcd084",
+        "467dbde7f062df4aa3eccd9ee9aecbc40fa49c75116f0a20237b8524ffa84fdb",
     ),
     "kmeans": (
         "41d93d06d0cc84d5cadd79d3097242b6df68102c18e159f7cf80dce4021d3e2e",
-        "12bd5b291bca2a10b927095e54147c21103eb11f5e5e0ba48c1bd21c61dd4ab8",
+        "93741b667b8872a630cc296e9d4a30e2f82a6843a68611fdd62e66b1f43f3e7d",
     ),
 }
 

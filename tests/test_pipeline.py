@@ -46,8 +46,9 @@ def test_fit_pipeline_builds_the_stack_from_the_genes():
                               dropout=0.1)
     fitted = fit_pipeline(random_frame(80, 2, seed=43), settings, budget=TINY_BUDGET)
     assert fitted.model.input_shape == (16, 2)
-    convs = [s for s in fitted.model.specs if isinstance(s, Conv1DSpec)]
-    dense = [s for s in fitted.model.specs if isinstance(s, DenseSpec)]
+    specs = [layer.spec for layer in fitted.model.layers]
+    convs = [s for s in specs if isinstance(s, Conv1DSpec)]
+    dense = [s for s in specs if isinstance(s, DenseSpec)]
     assert [(s.filters, s.kernel_size) for s in convs] == [(4, 5), (6, 5)]
     assert [s.units for s in dense] == [7, 3, 2]
     assert [s.dropout for s in dense[:2]] == [0.1, 0.1]
@@ -147,13 +148,16 @@ def test_artifact_round_trip_reproduces_verdicts(tmp_path, kind):
     save_pipeline(path, fitted)
     detector_arrays = {
         THRESHOLD: set(),
-        OCSVM: {"detector.support_vectors", "detector.alphas", "detector.sample_weights"},
+        OCSVM: {"detector.support_vectors", "detector.alphas"},
         KMEANS: {"detector.centroids", "detector.inertia_trace"},
     }
     with np.load(path) as data:
         assert set(data.files) == {
             "meta", "scaler.mins", "scaler.maxs", "model.params", "model.adam_m", "model.adam_v",
         } | detector_arrays[kind]
+        meta = json.loads(bytes(data["meta"]))
+    # The settings are the only record of the forecaster's architecture.
+    assert meta["format_version"] == 4 and meta["model"] == {"adam_t": fitted.model.adam_t}
     loaded = load_pipeline(path)
     assert loaded.settings == fitted.settings
     assert loaded.schema == fitted.schema

@@ -24,7 +24,7 @@ from .detectors import KMEANS, OCSVM, THRESHOLD, KmeansModel, OcsvmModel, Thresh
 from .forecaster import CnnModel
 from .pipeline import FittedPipeline, PipelineSettings, build_forecaster
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # Keyed by PipelineSettings.detector, the one record of which detector a
 # pipeline runs.

@@ -20,7 +20,6 @@ from . import dataio, plantsim
 from .artifact import load_pipeline, save_pipeline
 from .dataio import (
     LABEL_COLUMN,
-    SENSOR,
     TIMESTAMP_COLUMN,
     ChannelSchema,
     DataFormatError,
@@ -74,17 +73,13 @@ def _read_config(path: str) -> configparser.ConfigParser:
 
 
 def infer_schema(path: str) -> ChannelSchema:
-    """Channel names from a CSV header; kinds default to sensor.
-
-    Kinds only matter when generating data, never when consuming it, so the
-    all-sensor default is safe for training and detection.
-    """
+    """Channel names from a CSV header."""
     header = read_header(path)
     if header[0] != TIMESTAMP_COLUMN:
         raise DataFormatError(f"{path}: header must start with {TIMESTAMP_COLUMN!r}")
     names = header[1:-1] if header[-1] == LABEL_COLUMN else header[1:]
     try:
-        return ChannelSchema(names=tuple(names), kinds=(SENSOR,) * len(names))
+        return ChannelSchema(names=tuple(names))
     except ValueError as exc:
         raise DataFormatError(f"{path}: header: {exc}") from None
 
@@ -234,6 +229,8 @@ def _cmd_optimize(args) -> int:
     ga_names = [f.name for f in fields(GaConfig)]
     ga_config = GaConfig(**_fields_from_config(config, "ga", GaConfig, ga_names))
     threads = _option(config, "ga", "threads", None, int)
+    # The config's gene values are the default genome, the first individual.
+    settings = _settings_from_config(config)
 
     full_budget = _budget_from_config(config)
     # Evolution runs on a reduced epoch budget; the winner retrains in full.
@@ -244,7 +241,7 @@ def _cmd_optimize(args) -> int:
         early_stop_patience=min(full_budget.early_stop_patience, ga_epochs),
     )
     evaluator = make_evaluator(train_frame, validation_frame, ga_budget, seed=ga_config.seed)
-    result = evolve(ga_config, evaluator, threads=threads)
+    result = evolve(ga_config, evaluator, default_genome=settings, threads=threads)
 
     log_path = _option(config, "paths", "evolution_log", None, str)
     if log_path is not None:

@@ -21,9 +21,6 @@ TIMESTAMP_COLUMN = "Timestamp"
 NORMAL_TOKEN = "Normal"
 ATTACK_TOKEN = "Attack"
 
-SENSOR = "sensor"
-ACTUATOR = "actuator"
-
 
 class DataFormatError(ValueError):
     """Malformed input data; message carries the offending row when known."""
@@ -31,23 +28,17 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelSchema:
-    """Ordered channel names plus a continuous/discrete tag per channel."""
+    """Ordered channel names: the columns a data file must have, in order."""
 
     names: tuple[str, ...]
-    kinds: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.names) < 1:
             raise ValueError("schema needs at least one channel")
-        if len(self.names) != len(self.kinds):
-            raise ValueError("names and kinds length mismatch")
         if len(set(self.names)) != len(self.names):
             raise ValueError("channel names must be unique")
         if any(not n for n in self.names):
             raise ValueError("channel names must be non-empty")
-        bad = [k for k in self.kinds if k not in (SENSOR, ACTUATOR)]
-        if bad:
-            raise ValueError(f"unknown channel kind(s): {bad}")
 
     @property
     def channel_count(self) -> int:
@@ -134,7 +125,6 @@ class MinMaxScaler:
 class WindowBatch:
     """Stride-1 sliding windows paired with the next-step reading."""
 
-    window_length: int
     inputs: np.ndarray
     targets: np.ndarray
     target_indices: np.ndarray
@@ -324,7 +314,6 @@ def make_windows(frame: TimeSeriesFrame, w: int) -> WindowBatch:
     start = int(frame.timestamps[0])
     target_indices = np.arange(w, len(frame), dtype=np.int64) + start
     return WindowBatch(
-        window_length=w,
         inputs=inputs,
         targets=targets,
         target_indices=_freeze(target_indices),

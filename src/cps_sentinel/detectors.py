@@ -23,6 +23,7 @@ VERDICT_HEADER = ("index", "flag", "score")
 KKT_TOL = 1e-6
 WEIGHT_EPS = 1e-6
 SV_CUTOFF = 1e-12
+KMEANS_MAX_ITER = 300
 # Entries per row block in rbf_kernel: a 256 KiB buffer, so a block's
 # passes run in cache.
 KERNEL_BLOCK_ENTRIES = 1 << 15
@@ -87,7 +88,6 @@ def threshold_detect(model: ThresholdModel, errors: ErrorSeries) -> VerdictSerie
 
 @dataclass(frozen=True)
 class OcsvmModel:
-    nu: float
     gamma: float
     support_vectors: np.ndarray
     alphas: np.ndarray
@@ -218,7 +218,6 @@ def ocsvm_fit(
 
     keep = alpha > SV_CUTOFF
     return OcsvmModel(
-        nu=nu,
         gamma=gamma,
         support_vectors=points[keep].copy(),
         alphas=alpha[keep].copy(),
@@ -247,7 +246,6 @@ class KmeansModel:
     attack_centroid_index: int
     inertia: float
     n_iter: int
-    max_iter: int = 300
     # Objective value after each Lloyd update; non-increasing by construction.
     inertia_trace: np.ndarray | None = None
 
@@ -270,7 +268,7 @@ def _kmeans_pp_init(points: np.ndarray, rng: Rng) -> np.ndarray:
     return np.stack([points[first], points[second]]).astype(np.float64)
 
 
-def kmeans_fit(embedding: ErrorEmbedding, seed: int = 0, max_iter: int = 300) -> KmeansModel:
+def kmeans_fit(embedding: ErrorEmbedding, seed: int = 0) -> KmeansModel:
     """Two-cluster Lloyd fit on an augmented embedding.
 
     Requires a mix of real and synthetic points so the two clusters have
@@ -290,7 +288,7 @@ def kmeans_fit(embedding: ErrorEmbedding, seed: int = 0, max_iter: int = 300) ->
     trace = []
     n_iter = 0
     d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, KMEANS_MAX_ITER + 1):
         new_assignments = np.argmin(d2, axis=1)
         for c in range(2):
             mask = new_assignments == c
@@ -315,7 +313,6 @@ def kmeans_fit(embedding: ErrorEmbedding, seed: int = 0, max_iter: int = 300) ->
         attack_centroid_index=attack,
         inertia=inertia,
         n_iter=n_iter,
-        max_iter=max_iter,
         inertia_trace=np.array(trace),
     )
 

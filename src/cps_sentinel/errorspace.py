@@ -51,7 +51,6 @@ class ErrorEmbedding:
 
     points: np.ndarray
     point_indices: np.ndarray
-    lag: int
     synthetic_flags: np.ndarray
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class ErrorEmbedding:
             raise ValueError("points must be an (N, 2) array")
         if len(self.point_indices) != n or len(self.synthetic_flags) != n:
             raise ValueError("per-point arrays must share one length")
-        if self.lag < 0:
-            raise ValueError("lag must be non-negative")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -120,7 +117,6 @@ def embed(series: ErrorSeries, lag: int = 1) -> ErrorEmbedding:
     return ErrorEmbedding(
         points=points,
         point_indices=series.target_indices[lag:],
-        lag=lag,
         synthetic_flags=np.zeros(n, dtype=bool),
     )
 
@@ -153,7 +149,6 @@ def augment(
         point_indices=np.concatenate(
             [embedding.point_indices, np.full(count, -1, dtype=np.int64)]
         ),
-        lag=embedding.lag,
         synthetic_flags=np.concatenate(
             [embedding.synthetic_flags, np.ones(count, dtype=bool)]
         ),

@@ -23,13 +23,10 @@ class Conv1DSpec:
 
     filters: int
     kernel_size: int = 3
-    activation: str = RELU
 
     def __post_init__(self):
         if self.filters < 1 or self.kernel_size < 1:
             raise ValueError("filters and kernel_size must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -115,13 +112,13 @@ class Conv1DLayer:
         k, f = self.spec.kernel_size, self.spec.filters
         cols = self._im2col(x)
         z = cols @ self.weights.reshape(k * self.in_ch, f) + self.bias
-        y = _activate(self.spec.activation, z)
+        y = _activate(RELU, z)
         return y, (cols, z, y)
 
     def backward(self, dy, cache):
         cols, z, y = cache
         k, f = self.spec.kernel_size, self.spec.filters
-        dz = dy * _activate_grad(self.spec.activation, z, y)
+        dz = dy * _activate_grad(RELU, z, y)
         flat_cols = cols.reshape(-1, k * self.in_ch)
         flat_dz = dz.reshape(-1, f)
         dw = (flat_cols.T @ flat_dz).reshape(k, self.in_ch, f)

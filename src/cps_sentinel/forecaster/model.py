@@ -1,6 +1,7 @@
 """Next-step forecaster: model assembly, training loop, Adam."""
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +38,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, not {getattr(self, f.name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.learning_rate <= 0:
@@ -69,16 +73,12 @@ class EarlyStopper:
     def __init__(self, patience: int):
         self.patience = patience
         self.best = np.inf
-        self.best_epoch = 0
         self._stale = 0
-        self._seen = 0
 
     def update(self, loss: float) -> bool:
         """Record one epoch's loss; returns True when it improved on the best."""
-        self._seen += 1
         if loss < self.best:
             self.best = loss
-            self.best_epoch = self._seen
             self._stale = 0
             return True
         self._stale += 1

@@ -71,13 +71,10 @@ GENE_NAMES = tuple(GENE_DOMAINS)
 DEFAULT_GENOME = PipelineSettings()
 
 
-def validate_genome(
-    genome: PipelineSettings, domains: dict[str, GeneSpec] | None = None
-) -> list[str]:
+def validate_genome(genome: PipelineSettings) -> list[str]:
     """All gene-domain violations, empty when the genome is well-formed."""
-    domains = GENE_DOMAINS if domains is None else domains
     problems = []
-    for name, spec in domains.items():
+    for name, spec in GENE_DOMAINS.items():
         value = getattr(genome, name)
         if not spec.contains(value):
             problems.append(f"{name}={value!r} outside its domain")
@@ -239,7 +236,6 @@ class EvolutionResult:
     best_history: list[float]
     mean_history: list[float]
     log_lines: list[str]
-    final_population: list[Individual]
 
 
 def _evaluate_population(population: list[Individual], evaluator, threads: int) -> None:
@@ -330,7 +326,6 @@ def evolve(
         best_history=best_history,
         mean_history=mean_history,
         log_lines=log_lines,
-        final_population=population,
     )
 
 

@@ -4,6 +4,7 @@ Shared by the command-line front end and the genetic-algorithm fitness
 function so both run exactly the same code path.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -59,6 +60,9 @@ class PipelineSettings:
     augment_fraction: float = 0.3
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, not {getattr(self, f.name)!r}")
         if self.detector not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.window < 1:

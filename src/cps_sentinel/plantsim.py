@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import ACTUATOR, SENSOR, ChannelSchema, TimeSeriesFrame
+from .dataio import ChannelSchema, TimeSeriesFrame
 from .rng import Rng
 
 CHANNELS_PER_STAGE = 4
@@ -57,12 +57,11 @@ class PlantConfig:
             raise ValueError("noise_sigma must be >= 0")
 
     def schema(self) -> ChannelSchema:
-        names, kinds = [], []
-        for s in range(self.stage_count):
-            for ch in STAGE_CHANNELS:
-                names.append(f"S{s + 1}_{ch.upper()}")
-                kinds.append(SENSOR if ch in (LEVEL, FLOW) else ACTUATOR)
-        return ChannelSchema(names=tuple(names), kinds=tuple(kinds))
+        return ChannelSchema(
+            names=tuple(
+                f"S{s + 1}_{ch.upper()}" for s in range(self.stage_count) for ch in STAGE_CHANNELS
+            )
+        )
 
 
 @dataclass(frozen=True)

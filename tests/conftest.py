@@ -21,13 +21,10 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def make_frame(values, labels=None, start=0):
-    """Frame with auto-named sensor channels; values is (rows, channels)."""
+    """Frame with auto-named channels; values is (rows, channels)."""
     values = np.asarray(values, dtype=np.float64)
     rows, channels = values.shape
-    schema = ChannelSchema(
-        names=tuple(f"C{i}" for i in range(channels)),
-        kinds=("sensor",) * channels,
-    )
+    schema = ChannelSchema(names=tuple(f"C{i}" for i in range(channels)))
     if labels is None:
         labels = np.zeros(rows, dtype=bool)
     return TimeSeriesFrame(

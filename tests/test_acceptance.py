@@ -82,7 +82,6 @@ def embedding_from(points, synthetic=None):
     return ErrorEmbedding(
         points=points,
         point_indices=np.arange(n, dtype=np.int64),
-        lag=1,
         synthetic_flags=(
             np.zeros(n, dtype=bool) if synthetic is None else np.asarray(synthetic, dtype=bool)
         ),

@@ -165,6 +165,19 @@ def test_train_writes_artifact_and_history(workspace):
     assert len(history) >= 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["beta", "learning_rate"])
+def test_train_rejects_a_non_finite_float_before_writing(workspace, tmp_path, capsys, key, value):
+    line = {"beta": "beta = 1.2", "learning_rate": "learning_rate = 0.01"}[key]
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(train_ini(workspace / "data", tmp_path).replace(line, f"{key} = {value}"))
+    code = main(["train", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"cps-sentinel: {key} must be finite, not {float(value)!r}\n"
+    assert not (tmp_path / "model.npz").exists()
+
+
 def test_detect_then_evaluate_round_trip(workspace, capsys):
     out = workspace / "verdicts"
     code = main([
@@ -217,6 +230,12 @@ def _drop(mapping, key):
     del mapping[key]
 
 
+def _as_v4(meta, arrays):
+    """The schema as format version 4 stored it: a kind per channel besides its name."""
+    meta["schema"]["kinds"] = ["sensor"] * len(meta["schema"]["names"])
+    meta["format_version"] = 4
+
+
 def _as_v3(meta, arrays):
     """The model as format version 3 stored it: its architecture besides the settings."""
     meta["model"]["input_shape"] = [meta["settings"]["window"], 4]
@@ -261,6 +280,7 @@ BROKEN_ARTIFACTS = {
     ),
     "v2 artifact": (_as_v2, "unsupported artifact format version 2"),
     "v3 artifact": (_as_v3, "unsupported artifact format version 3"),
+    "v4 artifact": (_as_v4, "unsupported artifact format version 4"),
     "conv1 that disagrees with the stored parameters": (
         lambda meta, arrays: meta["settings"].update(conv1=9), "model.params must be"
     ),
@@ -516,8 +536,9 @@ artifact = {tmp_path}/best.npz
     def make_evaluator(train_frame, validation_frame, budget, seed):
         seen["budget"], seen["seed"] = budget, seed
 
-    def evolve(config, evaluator, threads):
+    def evolve(config, evaluator, default_genome, threads):
         seen["ga"], seen["threads"] = config, threads
+        seen["default_genome"] = default_genome
         raise ValueError("stopped before evolving")
 
     monkeypatch.setattr(cli, "make_evaluator", make_evaluator)
@@ -543,6 +564,7 @@ def test_every_config_key_sets_its_field(workspace, tmp_path, monkeypatch):
                                   crossover_rate=0.5, mutation_rate=0.3, elitism_count=2,
                                   seed=9)
     assert seen["threads"] == 2 and seen["seed"] == 9
+    assert seen["default_genome"] == settings
     assert seen["budget"] == TrainConfig(epochs=3, batch_size=9, early_stop_patience=3,
                                          validation_fraction=0.25)
     # Every field read from the config was moved off its default.
@@ -557,6 +579,7 @@ def test_an_empty_config_gives_the_defaults(workspace, tmp_path, monkeypatch):
     assert cli._budget_from_config(empty) == TrainConfig()
     seen = _optimize_inputs(workspace, tmp_path, monkeypatch, "")
     assert seen["ga"] == GaConfig() and seen["threads"] is None
+    assert seen["default_genome"] == PipelineSettings()
     assert seen["budget"] == TrainConfig(epochs=20)
 
 
@@ -565,7 +588,6 @@ def test_infer_schema_reads_header(tmp_path):
     path.write_text("Timestamp,A,B,Normal/Attack\n0,1,2,Normal\n")
     schema = infer_schema(str(path))
     assert schema.names == ("A", "B")
-    assert all(kind == "sensor" for kind in schema.kinds)
     unlabeled = tmp_path / "u.csv"
     unlabeled.write_text("Timestamp,A\n0,1\n")
     assert infer_schema(str(unlabeled)).names == ("A",)

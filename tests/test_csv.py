@@ -146,7 +146,7 @@ def only_data_format_errors(read, path):
 @SETTINGS
 @given(csv_texts())
 def test_readers_raise_only_data_format_errors(data):
-    schema = dataio.ChannelSchema(names=("A",), kinds=("sensor",))
+    schema = dataio.ChannelSchema(names=("A",))
     with scratch_file(data) as path:
         only_data_format_errors(lambda p: load_csv(p, schema), path)
         only_data_format_errors(read_verdicts, path)

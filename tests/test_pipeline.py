@@ -151,13 +151,20 @@ def test_artifact_round_trip_reproduces_verdicts(tmp_path, kind):
         OCSVM: {"detector.support_vectors", "detector.alphas"},
         KMEANS: {"detector.centroids", "detector.inertia_trace"},
     }
+    detector_meta = {
+        THRESHOLD: {"delta", "beta"},
+        OCSVM: {"gamma", "rho"},
+        KMEANS: {"attack_centroid_index", "inertia", "n_iter"},
+    }
     with np.load(path) as data:
         assert set(data.files) == {
             "meta", "scaler.mins", "scaler.maxs", "model.params", "model.adam_m", "model.adam_v",
         } | detector_arrays[kind]
         meta = json.loads(bytes(data["meta"]))
     # The settings are the only record of the forecaster's architecture.
-    assert meta["format_version"] == 4 and meta["model"] == {"adam_t": fitted.model.adam_t}
+    assert meta["format_version"] == 5 and meta["model"] == {"adam_t": fitted.model.adam_t}
+    assert meta["schema"] == {"names": ["C0", "C1"]}
+    assert set(meta["detector"]) == detector_meta[kind]
     loaded = load_pipeline(path)
     assert loaded.settings == fitted.settings
     assert loaded.schema == fitted.schema

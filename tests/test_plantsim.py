@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cps_sentinel.dataio import ACTUATOR, SENSOR, load_csv, save_csv
+from cps_sentinel.dataio import load_csv, save_csv
 from cps_sentinel.plantsim import (
     AttackSpec,
     PlantConfig,
@@ -17,13 +17,12 @@ QUIET = PlantConfig(noise_sigma=0.0)
 BALANCED = PlantConfig(inflows=(2.0, 2.0), outflows=(2.0, 2.0), noise_sigma=0.0)
 
 
-def test_schema_names_and_kinds():
+def test_schema_names():
     schema = PlantConfig().schema()
     assert schema.names == (
         "S1_LEVEL", "S1_FLOW", "S1_VALVE", "S1_PUMP",
         "S2_LEVEL", "S2_FLOW", "S2_VALVE", "S2_PUMP",
     )
-    assert schema.kinds == (SENSOR, SENSOR, ACTUATOR, ACTUATOR) * 2
 
 
 def test_channel_index():

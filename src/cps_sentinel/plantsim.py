@@ -9,9 +9,18 @@ and stops the pump; between marks both hold state.  Tanks start at half
 capacity with valve open and pump on, so equal in/out rates hold the level
 flat.  All randomness comes from the seeded generator in `rng`, making traces
 bit-reproducible.
+
+`simulate_normal` works in two passes over blocks of steps.  The controller
+never reads a sensor, so each stage's trajectory is a plain-float loop; the
+block's read noise is then drawn at once and added to the level and flow
+columns.  The noise is the stream of one `Rng.gauss()` per reading, in the
+same order, because the batch runs the Box-Muller transform on Python floats
+through `math`: `np.log` differs from `math.log` in the last bit for some
+inputs, and a trace must not depend on how its noise was batched.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +40,7 @@ FREEZE, OFFSET, FORCE = "freeze", "offset", "force"
 HIGH_MARK = 0.8
 LOW_MARK = 0.4
 START_LEVEL = 0.5
+STEP_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,12 @@ class PlantConfig:
             per_stage = getattr(self, name)
             if len(per_stage) != self.stage_count:
                 raise ValueError(f"{name} must list one value per stage")
+            if not all(map(math.isfinite, per_stage)):
+                raise ValueError(f"{name} must be finite, not {per_stage!r}")
             if any(v <= 0 for v in per_stage):
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.noise_sigma):
+            raise ValueError(f"noise_sigma must be finite, not {self.noise_sigma!r}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -124,33 +138,62 @@ def channel_index(stage: int, channel: str) -> int:
     return stage * CHANNELS_PER_STAGE + STAGE_CHANNELS.index(channel)
 
 
+def _controller(cap: float, inflow: float, outflow: float, state: tuple, steps: int):
+    """One stage's noise-free trajectory over `steps` seconds, starting from
+    `state` = (level, valve, pump).
+
+    Returns the level, inlet flow, valve and pump at each step, as four
+    lists, and the state after the last step.
+    """
+    level, valve, pump = state
+    high, low = HIGH_MARK * cap, LOW_MARK * cap
+    levels, flows, valves, pumps = [], [], [], []
+    for _ in range(steps):
+        flow_in = inflow * valve
+        levels.append(level)
+        flows.append(flow_in)
+        valves.append(valve)
+        pumps.append(pump)
+        level = level + flow_in - outflow * pump
+        # min(max(level, 0.0), cap), without the cost of two builtin calls.
+        if level < 0.0:
+            level = 0.0
+        elif level > cap:
+            level = cap
+        if level > high:
+            valve, pump = 0.0, 1.0
+        elif level < low:
+            valve, pump = 1.0, 0.0
+    return (levels, flows, valves, pumps), (level, valve, pump)
+
+
 def simulate_normal(config: PlantConfig, duration: int) -> TimeSeriesFrame:
-    """Deterministic normal-operation trace of `duration` seconds at 1 Hz."""
+    """Deterministic normal-operation trace of `duration` seconds at 1 Hz.
+
+    Works on `STEP_BLOCK` steps at a time, so transient memory does not grow
+    with `duration`. Pass 1 runs each stage's controller on Python floats and
+    records its level, inlet flow, valve and pump. Pass 2 draws the block's
+    read noise in one `Rng.gauss_batch` (per step, per stage, level then
+    flow) and fills each sensor column as `trajectory + noise_sigma * noise`.
+    The bytes equal those of a step loop that draws one `gauss()` per
+    reading, since the batch transforms its uniforms with `math`, not numpy.
+    """
     if duration < 1:
         raise ValueError("duration must be >= 1 second")
     n_stages = config.stage_count
-    caps = np.asarray(config.capacities)
-    inflow = np.asarray(config.inflows)
-    outflow = np.asarray(config.outflows)
-    level = START_LEVEL * caps
-    valve = np.ones(n_stages)
-    pump = np.ones(n_stages)
+    rates = list(zip(config.capacities, config.inflows, config.outflows))
+    state = [(START_LEVEL * cap, 1.0, 1.0) for cap in config.capacities]
     rng = Rng(config.seed)
 
     values = np.empty((duration, n_stages * CHANNELS_PER_STAGE))
-    for t in range(duration):
-        flow_in = inflow * valve
+    for t0 in range(0, duration, STEP_BLOCK):
+        block = values[t0:t0 + STEP_BLOCK].reshape(-1, n_stages, CHANNELS_PER_STAGE)
+        steps = len(block)
         for s in range(n_stages):
-            base = s * CHANNELS_PER_STAGE
-            values[t, base + 0] = level[s] + config.noise_sigma * rng.gauss()
-            values[t, base + 1] = flow_in[s] + config.noise_sigma * rng.gauss()
-            values[t, base + 2] = valve[s]
-            values[t, base + 3] = pump[s]
-        level = np.clip(level + flow_in - outflow * pump, 0.0, caps)
-        high = level > HIGH_MARK * caps
-        low = level < LOW_MARK * caps
-        valve = np.where(high, 0.0, np.where(low, 1.0, valve))
-        pump = np.where(high, 1.0, np.where(low, 0.0, pump))
+            trajectory, state[s] = _controller(*rates[s], state[s], steps)
+            block[:, s] = np.transpose(trajectory)
+        noise = rng.gauss_batch(steps * n_stages * 2).reshape(steps, n_stages, 2)
+        block[:, :, :2] += config.noise_sigma * noise
 
     return TimeSeriesFrame(
         schema=config.schema(),

@@ -3,10 +3,15 @@
 The one-class SVM dual is re-solved here with accelerated projected
 gradient descent, a completely different algorithm from the pairwise
 coordinate descent in the package, so agreement is evidence and not
-tautology.
+tautology. The plant simulator's reference is its former step loop, which
+draws one `gauss()` per reading.
 """
 
 import numpy as np
+
+from cps_sentinel.dataio import TimeSeriesFrame
+from cps_sentinel.plantsim import CHANNELS_PER_STAGE, HIGH_MARK, LOW_MARK, START_LEVEL
+from cps_sentinel.rng import Rng
 
 
 def project_capped_simplex(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -62,3 +67,40 @@ def solve_ocsvm_qp(
         if moved <= tol:
             break
     return a, objective(a)
+
+
+def simulate_normal_steps(config, duration: int):
+    """`plantsim.simulate_normal` as one step loop over numpy stage vectors,
+    drawing one `gauss()` per sensor reading in step, stage, channel order."""
+    if duration < 1:
+        raise ValueError("duration must be >= 1 second")
+    n_stages = config.stage_count
+    caps = np.asarray(config.capacities)
+    inflow = np.asarray(config.inflows)
+    outflow = np.asarray(config.outflows)
+    level = START_LEVEL * caps
+    valve = np.ones(n_stages)
+    pump = np.ones(n_stages)
+    rng = Rng(config.seed)
+
+    values = np.empty((duration, n_stages * CHANNELS_PER_STAGE))
+    for t in range(duration):
+        flow_in = inflow * valve
+        for s in range(n_stages):
+            base = s * CHANNELS_PER_STAGE
+            values[t, base + 0] = level[s] + config.noise_sigma * rng.gauss()
+            values[t, base + 1] = flow_in[s] + config.noise_sigma * rng.gauss()
+            values[t, base + 2] = valve[s]
+            values[t, base + 3] = pump[s]
+        level = np.clip(level + flow_in - outflow * pump, 0.0, caps)
+        high = level > HIGH_MARK * caps
+        low = level < LOW_MARK * caps
+        valve = np.where(high, 0.0, np.where(low, 1.0, valve))
+        pump = np.where(high, 1.0, np.where(low, 0.0, pump))
+
+    return TimeSeriesFrame(
+        schema=config.schema(),
+        timestamps=np.arange(duration, dtype=np.int64),
+        values=values,
+        labels=np.zeros(duration, dtype=bool),
+    )

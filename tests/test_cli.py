@@ -141,6 +141,24 @@ def test_simulate_rejects_an_attack_without_a_required_key(tmp_path, capsys, key
     assert capsys.readouterr().err == f"cps-sentinel: [attack.1] is missing {key}\n"
 
 
+@pytest.mark.parametrize("key, field", [
+    ("capacity", "capacities"), ("inflow", "inflows"), ("outflow", "outflows"),
+    ("noise_sigma", "noise_sigma"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_plant_float(tmp_path, capsys, key, field, value):
+    cfg = tmp_path / "plant.ini"
+    cfg.write_text(f"[plant]\nstages = 1\n{key} = {value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    shown = float(value) if field == "noise_sigma" else (float(value),)
+    assert err == f"cps-sentinel: {field} must be finite, not {shown!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_without_paths_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bare.ini"
     cfg.write_text("[forecaster]\nwindow = 8\n")

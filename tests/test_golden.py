@@ -43,6 +43,30 @@ targets = 0:level,0:flow,1:level,1:flow
 manipulation = offset:-6
 """
 
+# Unbalanced flows on three small tanks: every stage's valve toggles many
+# times, and the third tank's level clips at 0 and at its capacity.
+TOGGLING_PLANT_INI = """\
+[plant]
+stages = 3
+capacity = 100, 150, 20
+inflow = 6.0, 4.5, 15.0
+outflow = 5.0, 7.0, 12.0
+noise_sigma = 0.3
+seed = 21
+
+[simulate]
+normal_steps = 1500
+test_steps = 400
+test_seed = 22
+
+[attack.1]
+category = SSMP
+start = 100
+duration = 50
+targets = 1:valve,1:pump
+manipulation = force:1
+"""
+
 # detector -> (dropout, sha256 of verdicts.csv, of errors.csv, of the model state)
 GOLDEN = {
     "threshold": (
@@ -69,6 +93,12 @@ GOLDEN = {
 SIMULATED = {
     "normal.csv": "fb8aca433fdbd85f52f3150cd366c1c61ede785ee8e98cbccf5953ad27b2e999",
     "test.csv": "88f21dd08cc29129923c051708c35ca2a4360b17d8c65eb9d32c72e57090016e",
+}
+
+# TOGGLING_PLANT_INI's simulate output file -> sha256
+SIMULATED_TOGGLING = {
+    "normal.csv": "969e85570768b8fff9f5178a0431c1ac7e4e5eee1cf812c3e6c31a936174f724",
+    "test.csv": "c35f0383ebf2eb90be3b93ce33f27aad6d2daf7bf0c2e90f8a87ac3ec553cafa",
 }
 
 # detector -> (sha256 of train's history.csv, of `report --lag 2`'s embedding.csv);
@@ -170,6 +200,14 @@ def test_fixed_seed_run_reproduces_golden_digests(plant_data, tmp_path, detector
 
 def test_simulate_reproduces_golden_digests(plant_data):
     assert {name: sha256((plant_data / name).read_bytes()) for name in SIMULATED} == SIMULATED
+
+
+def test_simulate_of_a_toggling_plant_reproduces_golden_digests(tmp_path):
+    (tmp_path / "plant.ini").write_text(TOGGLING_PLANT_INI)
+    out = tmp_path / "data"
+    assert main(["simulate", "--config", str(tmp_path / "plant.ini"), "--out", str(out)]) == 0
+    got = {name: sha256((out / name).read_bytes()) for name in SIMULATED_TOGGLING}
+    assert got == SIMULATED_TOGGLING
 
 
 # Floats whose repr a formatting change would alter: a signed zero, the

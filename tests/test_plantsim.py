@@ -1,8 +1,14 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cps_sentinel.dataio import load_csv, save_csv
 from cps_sentinel.plantsim import (
+    STEP_BLOCK,
     AttackSpec,
     PlantConfig,
     channel_index,
@@ -11,10 +17,38 @@ from cps_sentinel.plantsim import (
     simulate_normal,
 )
 
-from conftest import make_frame
+from conftest import SETTINGS, make_frame
+from oracles import simulate_normal_steps
 
 QUIET = PlantConfig(noise_sigma=0.0)
 BALANCED = PlantConfig(inflows=(2.0, 2.0), outflows=(2.0, 2.0), noise_sigma=0.0)
+# Flows this large against the capacity toggle the controller every few
+# steps; the third stage's level clips at 0 and at capacity.
+CLIPPING = PlantConfig(
+    stage_count=3,
+    capacities=(100.0, 150.0, 20.0),
+    inflows=(6.0, 4.5, 15.0),
+    outflows=(5.0, 7.0, 12.0),
+    noise_sigma=0.0,
+    seed=21,
+)
+
+
+@st.composite
+def plants(draw):
+    """1-4 stages whose rates reach 1.5x capacity per step, so the controller
+    toggles and the level clips at 0 and at capacity in many draws."""
+    stages = draw(st.integers(1, 4))
+    caps = [draw(st.floats(1.0, 1000.0)) for _ in range(stages)]
+    fraction = st.floats(0.01, 1.5)
+    return PlantConfig(
+        stage_count=stages,
+        capacities=tuple(caps),
+        inflows=tuple(cap * draw(fraction) for cap in caps),
+        outflows=tuple(cap * draw(fraction) for cap in caps),
+        noise_sigma=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+        seed=draw(st.integers(-(2**63), 2**64 - 1)),
+    )
 
 
 def test_schema_names():
@@ -36,6 +70,36 @@ def test_simulate_is_deterministic():
     np.testing.assert_array_equal(a.values, b.values)
     c = simulate_normal(PlantConfig(seed=43), 500)
     assert not np.array_equal(a.values, c.values)
+
+
+@SETTINGS
+@given(plants(), st.integers(1, 3000))
+@example(CLIPPING, 3000)
+@example(replace(CLIPPING, noise_sigma=0.3), 1)
+@example(replace(CLIPPING, noise_sigma=0.3), STEP_BLOCK)
+@example(replace(CLIPPING, noise_sigma=0.3), 2 * STEP_BLOCK + 1)
+def test_simulate_matches_the_step_loop_oracle_bit_for_bit(config, duration):
+    got = simulate_normal(config, duration)
+    assert got.values.tobytes() == simulate_normal_steps(config, duration).values.tobytes()
+
+
+def test_clipping_plant_toggles_and_clips_at_both_ends():
+    frame = simulate_normal(CLIPPING, 3000)
+    for stage in range(3):
+        valve = frame.values[:, channel_index(stage, "valve")]
+        assert valve.min() == 0.0 and valve.max() == 1.0
+    level = frame.values[:, channel_index(2, "level")]
+    assert level.min() == 0.0 and level.max() == CLIPPING.capacities[2]
+
+
+def test_simulate_memory_does_not_grow_with_duration():
+    tracemalloc.start()
+    try:
+        frame = simulate_normal(PlantConfig(seed=4), 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * frame.values.nbytes
 
 
 def test_timestamps_start_at_zero_and_labels_normal():

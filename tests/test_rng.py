@@ -68,6 +68,18 @@ def test_gauss_scalar_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 4001])
+def test_gauss_batch_is_the_scalar_gauss_stream(n):
+    batch, scalar = Rng(17), Rng(17)
+    got = batch.gauss_batch(n)
+    expected = [scalar.gauss() for _ in range(n)]
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+    # The batch leaves the generator where the scalar draws do.
+    assert batch.gauss() == scalar.gauss()
+    assert batch.uniform() == scalar.uniform()
+
+
 def test_gauss_array_odd_length():
     assert len(Rng(1).gauss_array(5)) == 5
 

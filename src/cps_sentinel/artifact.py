@@ -22,7 +22,7 @@ import numpy as np
 from .dataio import ChannelSchema, MinMaxScaler
 from .detectors import KMEANS, OCSVM, THRESHOLD, KmeansModel, OcsvmModel, ThresholdModel
 from .forecaster import CnnModel
-from .pipeline import FittedPipeline, PipelineSettings, build_forecaster
+from .pipeline import FittedPipeline, PipelineSettings, build_forecaster, forecaster_size
 
 FORMAT_VERSION = 5
 
@@ -99,12 +99,15 @@ def _encode_model(model: CnnModel, arrays: dict) -> dict:
 
 def _decode_model(settings: PipelineSettings, channels: int, meta: dict, arrays: dict) -> CnnModel:
     """The settings' forecaster, holding the stored vectors; a vector whose
-    shape the settings do not produce is rejected."""
+    length the settings do not produce is rejected before the model is
+    allocated, so a huge gene costs no memory."""
+    shape = (forecaster_size(settings, channels),)
+    vectors = [_array(arrays, f"model.{name}", shape) for name in _MODEL_VECTORS]
+    adam_t = _get(meta, "adam_t", int, "model")
     model = build_forecaster(settings, channels, seed=0)
-    for name in _MODEL_VECTORS:
-        flat = getattr(model, f"flat_{name}")
-        flat[...] = _array(arrays, f"model.{name}", flat.shape)
-    model.adam_t = _get(meta, "adam_t", int, "model")
+    for name, vector in zip(_MODEL_VECTORS, vectors):
+        getattr(model, f"flat_{name}")[...] = vector
+    model.adam_t = adam_t
     return model
 
 

@@ -20,6 +20,7 @@ from .model import (
     adam_step,
     build_model,
     default_stack,
+    parameter_count,
     predict_series,
     train,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "adam_step",
     "build_model",
     "default_stack",
+    "parameter_count",
     "predict_series",
     "train",
 ]

@@ -4,7 +4,9 @@ All arrays are float64.  Sequence tensors are (batch, length, channels);
 flattened tensors are (batch, features).  Forward passes are functional:
 they return (output, cache) and leave no per-call state on the layer, so a
 frozen model can serve many threads; backward consumes the matching cache
-and returns (input_grad, [param_grads...]).
+and returns (input_grad, [param_grads...]). A model's first layer has no
+layer below it to take its input gradient, so `backward(..., input_grad=False)`
+skips that product and returns None in its place.
 """
 
 from dataclasses import dataclass
@@ -98,15 +100,18 @@ class Conv1DLayer:
         return [self.weights, self.bias]
 
     def _im2col(self, x: np.ndarray) -> np.ndarray:
+        """The (B, L, k*C) im2col matrix of the same-padded input, as a
+        zero-copy, overlapping, read-only view: row t is the k taps t..t+k-1
+        of the padded sequence, which lie next to each other in memory, so
+        consecutive rows overlap by (k-1)*C values."""
         k = self.spec.kernel_size
+        b, length, ch = x.shape
         pad_left = (k - 1) // 2
-        pad_right = k - 1 - pad_left
-        xp = np.pad(x, ((0, 0), (pad_left, pad_right), (0, 0)))
-        # (B, L, C, K) -> (B, L, K, C) -> (B, L, K*C)
-        cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-        cols = cols.transpose(0, 1, 3, 2)
-        b, length = x.shape[0], x.shape[1]
-        return cols.reshape(b, length, k * self.in_ch)
+        xp = np.zeros((b, length + k - 1, ch))
+        xp[:, pad_left : pad_left + length] = x
+        return np.lib.stride_tricks.as_strided(
+            xp, shape=(b, length, k * ch), strides=xp.strides, writeable=False
+        )
 
     def forward(self, x, training=False, rng=None):
         k, f = self.spec.kernel_size, self.spec.filters
@@ -115,22 +120,30 @@ class Conv1DLayer:
         y = _activate(RELU, z)
         return y, (cols, z, y)
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, input_grad=True):
         cols, z, y = cache
         k, f = self.spec.kernel_size, self.spec.filters
-        dz = dy * _activate_grad(RELU, z, y)
+        # The ReLU subgradient as a bool mask, which multiplies as 1.0 or 0.0.
+        dz = dy * (z > 0.0)
         flat_cols = cols.reshape(-1, k * self.in_ch)
         flat_dz = dz.reshape(-1, f)
         dw = (flat_cols.T @ flat_dz).reshape(k, self.in_ch, f)
         db = flat_dz.sum(axis=0)
+        if not input_grad:
+            return None, [dw, db]
         dcols = dz @ self.weights.reshape(k * self.in_ch, f).T
         b, length = dy.shape[0], dy.shape[1]
         dcols = dcols.reshape(b, length, k, self.in_ch)
+        # Tap j of output t reads input t + j - pad_left. Add the taps in j
+        # order, as into a padded buffer, dropping the terms that would land
+        # in the padding.
         pad_left = (k - 1) // 2
-        dxp = np.zeros((b, length + k - 1, self.in_ch))
+        dx = np.zeros((b, length, self.in_ch))
         for j in range(k):
-            dxp[:, j : j + length, :] += dcols[:, :, j, :]
-        dx = dxp[:, pad_left : pad_left + length, :]
+            shift = j - pad_left
+            lo, hi = max(0, shift), min(length, length + shift)
+            if lo < hi:
+                dx[:, lo:hi, :] += dcols[:, lo - shift : hi - shift, j, :]
         return dx, [dw, db]
 
 
@@ -154,9 +167,13 @@ class MaxPool1DLayer:
         # gradient to the first of two equal values, as argmax does.
         return np.maximum(a, c), a >= c
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, input_grad=True):
+        if not input_grad:
+            return None, []
         first = cache
-        dxr = np.stack((np.where(first, dy, 0.0), np.where(first, 0.0, dy)), axis=2)
+        dxr = np.empty((dy.shape[0], self.in_len // 2, 2, self.in_ch))
+        dxr[:, :, 0, :] = np.where(first, dy, 0.0)
+        dxr[:, :, 1, :] = np.where(first, 0.0, dy)
         return dxr.reshape(dy.shape[0], self.in_len, self.in_ch), []
 
 
@@ -173,7 +190,9 @@ class FlattenLayer:
     def forward(self, x, training=False, rng=None):
         return x.reshape(x.shape[0], self.in_len * self.in_ch), None
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, input_grad=True):
+        if not input_grad:
+            return None, []
         return dy.reshape(dy.shape[0], self.in_len, self.in_ch), []
 
 
@@ -204,12 +223,12 @@ class DenseLayer:
             out = a
         return out, (x, z, a, mask)
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, input_grad=True):
         x, z, a, mask = cache
         if mask is not None:
             dy = dy * mask
         dz = dy * _activate_grad(self.spec.activation, z, a)
         dw = x.T @ dz
         db = dz.sum(axis=0)
-        dx = dz @ self.weights.T
+        dx = dz @ self.weights.T if input_grad else None
         return dx, [dw, db]

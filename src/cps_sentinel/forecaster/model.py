@@ -195,8 +195,9 @@ class CnnModel:
         # d mean|x| / dx, with the subgradient at 0 taken as 0
         dy = np.sign(diff) / diff.size
         grads: list[np.ndarray] = []
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dy, param_grads = layer.backward(dy, cache)
+        for i in range(len(self.layers) - 1, -1, -1):
+            # Nothing lies below layer 0 to take its input gradient.
+            dy, param_grads = self.layers[i].backward(dy, caches[i], input_grad=i > 0)
             grads = param_grads + grads
         return loss, grads
 
@@ -204,39 +205,37 @@ class CnnModel:
         return [p.copy() for p in self.params]
 
 
-def build_model(w: int, channels: int, specs: list, seed: int = 0) -> CnnModel:
-    """Assemble and initialize the stack, validating shape composition.
-
-    Conv weights: Glorot-uniform in +-sqrt(6/(fan_in+fan_out)); biases zero.
-    """
+def _shape_walk(w: int, channels: int, specs: list) -> list[tuple]:
+    """(spec, input shape, parameter count) for each layer of the stack on a
+    (w, channels) window, raising ShapeError where the stack does not
+    compose. Building a model and sizing its parameters share this walk, so
+    a size is known before anything is allocated."""
     if w < 1 or channels < 1:
         raise ShapeError("input shape must be positive")
-    rng = Rng(derive_seed(seed))
-    layers = []
+    walk = []
     shape: tuple = (w, channels)
     for i, spec in enumerate(specs):
         where = f"layer {i} ({type(spec).__name__})"
-        if isinstance(spec, Conv1DSpec):
-            if len(shape) != 2:
-                raise ShapeError(f"{where}: expects sequence input, got {shape}")
-            layers.append(Conv1DLayer(spec, shape[0], shape[1], rng))
-        elif isinstance(spec, MaxPool1DSpec):
-            if len(shape) != 2:
-                raise ShapeError(f"{where}: expects sequence input, got {shape}")
-            if shape[0] % 2 != 0:
-                raise ShapeError(f"{where}: pool 2 does not divide length {shape[0]}")
-            layers.append(MaxPool1DLayer(spec, shape[0], shape[1]))
-        elif isinstance(spec, FlattenSpec):
-            if len(shape) != 2:
-                raise ShapeError(f"{where}: expects sequence input, got {shape}")
-            layers.append(FlattenLayer(spec, shape[0], shape[1]))
-        elif isinstance(spec, DenseSpec):
+        if isinstance(spec, DenseSpec):
             if len(shape) != 1:
                 raise ShapeError(f"{where}: expects flattened input, got {shape}")
-            layers.append(DenseLayer(spec, shape[0], rng))
+            out, size = (spec.units,), (shape[0] + 1) * spec.units
+        elif isinstance(spec, (Conv1DSpec, MaxPool1DSpec, FlattenSpec)):
+            if len(shape) != 2:
+                raise ShapeError(f"{where}: expects sequence input, got {shape}")
+            length, ch = shape
+            if isinstance(spec, Conv1DSpec):
+                out, size = (length, spec.filters), (spec.kernel_size * ch + 1) * spec.filters
+            elif isinstance(spec, MaxPool1DSpec):
+                if length % 2 != 0:
+                    raise ShapeError(f"{where}: pool 2 does not divide length {length}")
+                out, size = (length // 2, ch), 0
+            else:
+                out, size = (length * ch,), 0
         else:
             raise ShapeError(f"{where}: unknown layer spec")
-        shape = layers[-1].out_shape
+        walk.append((spec, shape, size))
+        shape = out
     if len(shape) != 1 or shape[0] != channels:
         raise ShapeError(
             f"final layer must emit {channels} units, stack emits {shape}"
@@ -244,6 +243,31 @@ def build_model(w: int, channels: int, specs: list, seed: int = 0) -> CnnModel:
     last = specs[-1] if specs else None
     if not isinstance(last, DenseSpec) or last.activation != SIGMOID:
         raise ShapeError("final layer must be Dense with sigmoid activation")
+    return walk
+
+
+def parameter_count(w: int, channels: int, specs: list) -> int:
+    """Length of the flat parameter vector `build_model` would allocate."""
+    return sum(size for _, _, size in _shape_walk(w, channels, specs))
+
+
+def build_model(w: int, channels: int, specs: list, seed: int = 0) -> CnnModel:
+    """Assemble and initialize the stack, validating shape composition.
+
+    Conv weights: Glorot-uniform in +-sqrt(6/(fan_in+fan_out)); biases zero.
+    """
+    walk = _shape_walk(w, channels, specs)
+    rng = Rng(derive_seed(seed))
+    layers = []
+    for spec, shape, _ in walk:
+        if isinstance(spec, Conv1DSpec):
+            layers.append(Conv1DLayer(spec, shape[0], shape[1], rng))
+        elif isinstance(spec, MaxPool1DSpec):
+            layers.append(MaxPool1DLayer(spec, shape[0], shape[1]))
+        elif isinstance(spec, FlattenSpec):
+            layers.append(FlattenLayer(spec, shape[0], shape[1]))
+        else:
+            layers.append(DenseLayer(spec, shape[0], rng))
     return CnnModel(input_shape=(w, channels), layers=layers)
 
 

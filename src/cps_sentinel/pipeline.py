@@ -31,7 +31,16 @@ from .detectors import (
     threshold_fit,
 )
 from .errorspace import ErrorSeries, compute_errors, embed, augment
-from .forecaster import CnnModel, TrainConfig, TrainHistory, build_model, default_stack, predict_series, train
+from .forecaster import (
+    CnnModel,
+    TrainConfig,
+    TrainHistory,
+    build_model,
+    default_stack,
+    parameter_count,
+    predict_series,
+    train,
+)
 from .metrics import ConfusionCounts, MetricsReport, score
 from .rng import derive_seed
 
@@ -96,6 +105,16 @@ class FittedPipeline:
     history: TrainHistory | None = None
 
 
+def _forecaster_stack(settings: PipelineSettings, channels: int) -> list:
+    return default_stack(
+        channels=channels,
+        conv_filters=(settings.conv1, settings.conv2),
+        kernel_size=settings.kernel,
+        dense_units=(settings.dense1, settings.dense2),
+        dropout=settings.dropout,
+    )
+
+
 def build_forecaster(settings: PipelineSettings, channels: int, seed: int) -> CnnModel:
     """The untrained forecaster of `settings` for `channels` channels.
 
@@ -103,14 +122,14 @@ def build_forecaster(settings: PipelineSettings, channels: int, seed: int) -> Cn
     it here, and loading an artifact builds it here before filling in the
     stored parameters.
     """
-    specs = default_stack(
-        channels=channels,
-        conv_filters=(settings.conv1, settings.conv2),
-        kernel_size=settings.kernel,
-        dense_units=(settings.dense1, settings.dense2),
-        dropout=settings.dropout,
-    )
+    specs = _forecaster_stack(settings, channels)
     return build_model(settings.window, channels, specs, seed=seed)
+
+
+def forecaster_size(settings: PipelineSettings, channels: int) -> int:
+    """Parameter count of `build_forecaster(settings, channels, ...)`,
+    computed without building it."""
+    return parameter_count(settings.window, channels, _forecaster_stack(settings, channels))
 
 
 def fit_pipeline(

@@ -109,7 +109,30 @@ class Rng:
         return out[:n]
 
     def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates over a 1-D array: the scalar stream of
+        `items[i], items[j] = items[j], items[i]` with `j = randint(i + 1)` for
+        i = n-1 down to 1, batched.
+
+        The n-1 draws come in one vectorized call and reduce modulo their
+        bounds in uint64. If any draw is one `randint` would reject, the
+        generator is rewound and the scalar loop runs, so the permutation and
+        the generator's end state are always those of the scalar loop.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        start = self._state
+        draws = self._u64_array(n - 1)
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        # randint rejects x >= 2**64 - 2**64 % bound; in uint64, -bound % bound
+        # is 2**64 % bound.
+        if np.any(draws > np.uint64(_MASK64) - (np.uint64(0) - bounds) % bounds):
+            self._state = start
+            for i in range(n - 1, 0, -1):
+                j = self.randint(i + 1)
+                items[i], items[j] = items[j], items[i]
+            return
+        values = items.tolist()
+        for i, j in zip(range(n - 1, 0, -1), (draws % bounds).tolist()):
+            values[i], values[j] = values[j], values[i]
+        items[:] = values

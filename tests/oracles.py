@@ -4,12 +4,18 @@ The one-class SVM dual is re-solved here with accelerated projected
 gradient descent, a completely different algorithm from the pairwise
 coordinate descent in the package, so agreement is evidence and not
 tautology. The plant simulator's reference is its former step loop, which
-draws one `gauss()` per reading.
+draws one `gauss()` per reading. The forecaster's conv and max-pool passes,
+its loss gradient and `Rng.shuffle` are checked against their former
+implementations: an im2col copied out of `np.pad` and `sliding_window_view`,
+a scatter into a padded buffer, `np.stack` of the pool halves, a backward
+pass that forms every layer's input gradient, and a Fisher-Yates loop that
+calls `randint` per element.
 """
 
 import numpy as np
 
 from cps_sentinel.dataio import TimeSeriesFrame
+from cps_sentinel.forecaster.layers import Conv1DLayer, MaxPool1DLayer
 from cps_sentinel.plantsim import CHANNELS_PER_STAGE, HIGH_MARK, LOW_MARK, START_LEVEL
 from cps_sentinel.rng import Rng
 
@@ -104,3 +110,79 @@ def simulate_normal_steps(config, duration: int):
         values=values,
         labels=np.zeros(duration, dtype=bool),
     )
+
+
+def conv_im2col(layer, x):
+    """(B, L, k*C) im2col of the same-padded input through `np.pad`."""
+    k = layer.spec.kernel_size
+    pad_left = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad_left, k - 1 - pad_left), (0, 0)))
+    cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
+    cols = cols.transpose(0, 1, 3, 2)
+    return cols.reshape(x.shape[0], x.shape[1], k * layer.in_ch)
+
+
+def conv_forward(layer, x):
+    k, f = layer.spec.kernel_size, layer.spec.filters
+    cols = conv_im2col(layer, x)
+    z = cols @ layer.weights.reshape(k * layer.in_ch, f) + layer.bias
+    y = np.maximum(z, 0.0)
+    return y, (cols, z, y)
+
+
+def conv_backward(layer, dy, cache):
+    """Input gradient by a scatter of every tap into a padded buffer."""
+    cols, z, y = cache
+    k, f = layer.spec.kernel_size, layer.spec.filters
+    dz = dy * (z > 0.0).astype(np.float64)
+    flat_cols = cols.reshape(-1, k * layer.in_ch)
+    flat_dz = dz.reshape(-1, f)
+    dw = (flat_cols.T @ flat_dz).reshape(k, layer.in_ch, f)
+    db = flat_dz.sum(axis=0)
+    dcols = dz @ layer.weights.reshape(k * layer.in_ch, f).T
+    b, length = dy.shape[0], dy.shape[1]
+    dcols = dcols.reshape(b, length, k, layer.in_ch)
+    pad_left = (k - 1) // 2
+    dxp = np.zeros((b, length + k - 1, layer.in_ch))
+    for j in range(k):
+        dxp[:, j : j + length, :] += dcols[:, :, j, :]
+    dx = dxp[:, pad_left : pad_left + length, :]
+    return dx, [dw, db]
+
+
+def maxpool_backward(layer, dy, first):
+    dxr = np.stack((np.where(first, dy, 0.0), np.where(first, 0.0, dy)), axis=2)
+    return dxr.reshape(dy.shape[0], layer.in_len, layer.in_ch), []
+
+
+def loss_and_grads(model, windows, targets, training=False, rng=None):
+    """`CnnModel.loss_and_grads` with the oracle conv and pool passes, forming
+    every layer's input gradient, the first layer's included."""
+    caches = []
+    out = windows
+    for layer in model.layers:
+        if isinstance(layer, Conv1DLayer):
+            out, cache = conv_forward(layer, out)
+        else:
+            out, cache = layer.forward(out, training=training, rng=rng)
+        caches.append(cache)
+    diff = out - targets
+    loss = float(np.mean(np.abs(diff)))
+    dy = np.sign(diff) / diff.size
+    grads = []
+    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+        if isinstance(layer, Conv1DLayer):
+            dy, param_grads = conv_backward(layer, dy, cache)
+        elif isinstance(layer, MaxPool1DLayer):
+            dy, param_grads = maxpool_backward(layer, dy, cache)
+        else:
+            dy, param_grads = layer.backward(dy, cache)
+        grads = param_grads + grads
+    return loss, grads
+
+
+def fisher_yates(rng: Rng, items) -> None:
+    """In-place Fisher-Yates, one `randint` per element."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        items[i], items[j] = items[j], items[i]

@@ -2,11 +2,13 @@
 
 Whatever is done to a saved artifact (its JSON metadata, its arrays or its raw
 bytes), `detect` either runs and exits 0 or exits 2 with one stderr line.
-Fuzzed integers stay within +-256, so no fuzzed gene builds a large model.
+Fuzzed integers stay within +-256, so no fuzzed gene builds a large model;
+a huge gene has its own test at the end.
 """
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -209,3 +211,25 @@ def test_a_member_the_reader_cannot_decode_exits_2_in_one_line(saved, tmp_path, 
     code, err = run_cli(argv)
     assert code == 2
     assert err.startswith(f"cps-sentinel: {model}: not an artifact (") and err.count("\n") == 1
+
+
+def test_a_huge_gene_is_rejected_before_the_model_is_allocated(saved, tmp_path):
+    """dense1 = 10**8 asks for a ~6 GiB model; the stored vectors' length
+    disagrees with it, and loading says so without allocating it."""
+    data_csv, artifacts = saved
+    meta, arrays, _ = artifacts["ocsvm"]
+    meta = json.loads(json.dumps(meta))
+    meta["settings"]["dense1"] = 10**8
+    model = tmp_path / "model.npz"
+    model.write_bytes(artifact_bytes(meta, arrays))
+    argv = ["detect", "--model", str(model), "--data", str(data_csv), "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        code, err = run_cli(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err.startswith("cps-sentinel: artifact array model.params must be") and err.count(
+        "\n") == 1, err
+    assert peak < 10 * 2**20

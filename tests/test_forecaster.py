@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cps_sentinel.artifact import _decode_model, _encode_model
 from cps_sentinel.forecaster import (
@@ -29,7 +31,8 @@ from cps_sentinel.dataio import make_windows
 from cps_sentinel.pipeline import PipelineSettings, build_forecaster
 from cps_sentinel.rng import Rng
 
-from conftest import random_frame
+import oracles
+from conftest import SETTINGS, random_frame
 
 SMALL_STACK = [
     Conv1DSpec(filters=3, kernel_size=3),
@@ -163,6 +166,92 @@ def test_maxpool_matches_the_argmax_reference_bit_for_bit(activation):
         np.testing.assert_array_equal(first, idx == 0)
         np.testing.assert_array_equal(bits(dx), bits(want_dx))
         assert grads == []
+
+
+# Signed zeros and exact ties included, so that every sign of zero the
+# oracle produces is compared.
+SIGNED_VALUES = np.array([-1.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0])
+
+
+def signed_draw(draw, shape):
+    return draw.choice(SIGNED_VALUES, size=shape) * draw.uniform(0.5, 2.0, size=shape)
+
+
+@SETTINGS
+@given(
+    b=st.sampled_from([1, 2, 3, 64]),
+    length=st.integers(min_value=1, max_value=24),
+    ch=st.integers(min_value=1, max_value=8),
+    filters=st.integers(min_value=1, max_value=8),
+    k=st.sampled_from([1, 2, 3, 4, 5, 7]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_conv_matches_the_padded_oracle_bit_for_bit(b, length, ch, filters, k, seed):
+    """Even k pads unevenly and k > L leaves taps with no overlap: the
+    im2col view, the output and every gradient keep the oracle's bytes."""
+    draw = np.random.default_rng(seed)
+    layer = Conv1DLayer(Conv1DSpec(filters=filters, kernel_size=k), length, ch, Rng(seed))
+    layer.weights[...] = signed_draw(draw, layer.weights.shape)
+    layer.bias[...] = signed_draw(draw, layer.bias.shape)
+    x = signed_draw(draw, (b, length, ch))
+    dy = signed_draw(draw, (b, length, filters))
+
+    y, cache = layer.forward(x)
+    want_y, want_cache = oracles.conv_forward(layer, x)
+    # The same memory layout; the stride of a length-1 axis is never used.
+    assert cache[0].shape == want_cache[0].shape
+    assert [s for n, s in zip(cache[0].shape, cache[0].strides) if n > 1] == [
+        s for n, s in zip(want_cache[0].shape, want_cache[0].strides) if n > 1
+    ]
+    assert bits(cache[0]).tobytes() == bits(want_cache[0]).tobytes()
+    assert bits(y).tobytes() == bits(want_y).tobytes()
+
+    dx, (dw, db) = layer.backward(dy, cache)
+    want_dx, (want_dw, want_db) = oracles.conv_backward(layer, dy, want_cache)
+    for got, want in ((dx, want_dx), (dw, want_dw), (db, want_db)):
+        assert got.shape == want.shape
+        assert bits(got).tobytes() == bits(want).tobytes()
+
+    none, (dw, db) = layer.backward(dy, cache, input_grad=False)
+    assert none is None
+    assert bits(dw).tobytes() == bits(want_dw).tobytes()
+    assert bits(db).tobytes() == bits(want_db).tobytes()
+
+
+ORACLE_STACKS = {
+    "conv first": [
+        Conv1DSpec(filters=3, kernel_size=3),
+        MaxPool1DSpec(),
+        Conv1DSpec(filters=4, kernel_size=2),
+        MaxPool1DSpec(),
+        FlattenSpec(),
+        DenseSpec(units=5, activation="tanh", dropout=0.3),
+        DenseSpec(units=2, activation="sigmoid", dropout=0.0),
+    ],
+    "dense first": [
+        FlattenSpec(),
+        DenseSpec(units=6, activation="relu", dropout=0.0),
+        DenseSpec(units=2, activation="sigmoid", dropout=0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("stack", sorted(ORACLE_STACKS))
+def test_loss_and_grads_match_the_full_backward_oracle(stack, training):
+    """Skipping the first layer's input gradient leaves every parameter
+    gradient with the bytes of a backward pass that forms all of them."""
+    model = build_model(8, 2, ORACLE_STACKS[stack], seed=4)
+    draw = np.random.default_rng(8)
+    for b in (1, 3, 64):
+        x = signed_draw(draw, (b, 8, 2))
+        y = draw.uniform(size=(b, 2))
+        loss, grads = model.loss_and_grads(x, y, training=training, rng=Rng(b))
+        want_loss, want_grads = oracles.loss_and_grads(model, x, y, training=training, rng=Rng(b))
+        assert loss == want_loss
+        assert len(grads) == len(want_grads) == len(model.params)
+        for got, want in zip(grads, want_grads):
+            assert bits(got).tobytes() == bits(want).tobytes()
 
 
 def test_flatten_round_trip():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cps_sentinel.rng import Rng, derive_seed
+from cps_sentinel.rng import _GOLDEN, _MASK64, _MIX1, _MIX2, Rng, derive_seed
+
+from oracles import fisher_yates
 
 
 def test_known_answer_vector():
@@ -92,6 +94,48 @@ def test_shuffle_is_permutation():
     again = np.arange(20)
     Rng(13).shuffle(again)
     np.testing.assert_array_equal(items, again)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 64, 4489])
+def test_shuffle_is_the_scalar_fisher_yates(n):
+    batched, scalar = Rng(23), Rng(23)
+    items, expected = np.arange(n), np.arange(n)
+    batched.shuffle(items)
+    fisher_yates(scalar, expected)
+    np.testing.assert_array_equal(items, expected)
+    assert batched.next_u64() == scalar.next_u64()
+
+
+def _unshift(y: int, s: int) -> int:
+    """Invert `y = x ^ (x >> s)` on 64 bits: each pass fixes s more bits."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def _unmix(z: int) -> int:
+    """The inverse of splitmix64's output mix: undo each xor-shift, and each
+    multiply by its odd multiplier's inverse modulo 2**64."""
+    z = _unshift(z, 31)
+    z = _unshift(z * pow(_MIX2, -1, 1 << 64) & _MASK64, 27)
+    return _unshift(z * pow(_MIX1, -1, 1 << 64) & _MASK64, 30)
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_shuffle_matches_the_scalar_loop_through_a_rejected_draw(n):
+    """randint(3) rejects 2**64 - 1 (2**64 % 3 == 1); seed the generator so
+    that the draw for bound 3, the (n-2)-th, is exactly that value."""
+    state = (_unmix(_MASK64) - (n - 2) * _GOLDEN) & _MASK64
+    probe = Rng(state)
+    draws = [probe.next_u64() for _ in range(n - 2)]
+    assert draws[-1] == _MASK64
+    batched, scalar = Rng(state), Rng(state)
+    items, expected = np.arange(n), np.arange(n)
+    batched.shuffle(items)
+    fisher_yates(scalar, expected)
+    np.testing.assert_array_equal(items, expected)
+    assert batched.next_u64() == scalar.next_u64()
 
 
 def test_derive_seed_order_sensitive():

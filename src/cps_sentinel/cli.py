@@ -9,10 +9,10 @@ print a single diagnostic line on stderr.
 """
 
 import argparse
-import configparser
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,18 +60,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _read_config(path: str) -> configparser.ConfigParser:
-    """The INI file at `path`, whose values are taken literally (no `%`
-    interpolation); a file that does not parse raises ValueError."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        if not parser.read(path):
-            raise FileNotFoundError(f"config file not found: {path}")
-    except configparser.Error as exc:
-        raise ValueError(f"{path}: {str(exc).splitlines()[0]}") from None
-    return parser
-
-
 def infer_schema(path: str) -> ChannelSchema:
     """Channel names from a CSV header."""
     header = read_header(path)
@@ -84,52 +72,51 @@ def infer_schema(path: str) -> ChannelSchema:
         raise DataFormatError(f"{path}: header: {exc}") from None
 
 
-def _option(config: configparser.ConfigParser, section: str, key: str, default, cast):
-    """`cast` of `[section] key`, or `default` when the config does not set it."""
-    if section in config and key in config[section]:
-        return cast(config[section][key])
-    return default
+# [forecaster] sets these genes and the TrainConfig budget, [detector] the
+# rest; [forecaster] `patience` is `early_stop_patience`, [detector] `kind` is `detector`.
+_FORECASTER_GENES = (
+    "window", "conv1", "conv2", "kernel", "dense1", "dense2", "dropout", "learning_rate"
+)
+_DETECTOR_GENES = ("beta", "lag", "nu", "gamma", "augment_fraction")
+_PATHS = ("train_csv", "validation_csv", "artifact", "history_csv", "evolution_log",
+          "ga_history_csv")
 
 
-# INI keys that differ from the name of the field they set.
-_INI_KEYS = {"detector": "kind", "early_stop_patience": "patience"}
+def _defaults(instance, names) -> dict:
+    return {name: getattr(instance, name) for name in names}
 
 
-def _fields_from_config(config: configparser.ConfigParser, section: str, cls, names) -> dict:
-    """Fields `names` of dataclass `cls` read from `[section]`.
-
-    Each value is cast to the type of the field's default; an unset key
-    keeps the default.
-    """
-    base = cls()
-    values = {}
-    for name in names:
-        default = getattr(base, name)
-        values[name] = _option(config, section, _INI_KEYS.get(name, name), default, type(default))
-    return values
-
-
-def _settings_from_config(config: configparser.ConfigParser) -> PipelineSettings:
-    forecaster = (
-        "window", "conv1", "conv2", "kernel", "dense1", "dense2", "dropout", "learning_rate"
+def _run_config(path: str, required_paths) -> SimpleNamespace:
+    """Every section `train` and `optimize` read from the config at `path`,
+    parsed and checked, so that a bad config fails before any data is read."""
+    config = dataio.read_config(path)
+    paths = dataio.read_section(config, "paths", dict.fromkeys(_PATHS), dict.fromkeys(_PATHS, str))
+    missing = [key for key in required_paths if paths[key] is None]
+    if missing:
+        raise ValueError(f"config is missing [paths] {missing[0]}")
+    genes, budget = PipelineSettings(), TrainConfig()
+    forecaster = dataio.read_section(config, "forecaster", {
+        **_defaults(genes, _FORECASTER_GENES),
+        **_defaults(budget, ("epochs", "batch_size", "validation_fraction")),
+        "patience": budget.early_stop_patience,
+    })
+    detector_defaults = {"kind": genes.detector, **_defaults(genes, _DETECTOR_GENES)}
+    detector = dataio.read_section(config, "detector", detector_defaults)
+    ga = dataio.read_section(
+        config, "ga", {**asdict(GaConfig()), "threads": None, "budget_epochs": 20}, {"threads": int}
     )
-    detector = ("detector", "beta", "lag", "nu", "gamma", "augment_fraction")
-    return PipelineSettings(
-        **_fields_from_config(config, "forecaster", PipelineSettings, forecaster),
-        **_fields_from_config(config, "detector", PipelineSettings, detector),
+    settings = replace(genes, detector=detector.pop("kind"), **detector,
+                       **{name: forecaster.pop(name) for name in _FORECASTER_GENES})
+    budget = TrainConfig(early_stop_patience=forecaster.pop("patience"), **forecaster)
+    # Evolution runs on a reduced epoch budget; the winner retrains in full.
+    ga_epochs = ga.pop("budget_epochs")
+    ga_budget = replace(budget, epochs=ga_epochs,
+                        early_stop_patience=min(budget.early_stop_patience, ga_epochs))
+    return SimpleNamespace(
+        paths=paths, settings=settings, budget=budget, ga_budget=ga_budget,
+        threads=ga.pop("threads"), ga=GaConfig(**ga),
+        seed=dataio.read_section(config, "seeds", {"pipeline": 0})["pipeline"],
     )
-
-
-def _budget_from_config(config: configparser.ConfigParser) -> TrainConfig:
-    names = ("epochs", "batch_size", "early_stop_patience", "validation_fraction")
-    return TrainConfig(**_fields_from_config(config, "forecaster", TrainConfig, names))
-
-
-def _path_from_config(config: configparser.ConfigParser, key: str) -> str:
-    path = _option(config, "paths", key, None, str)
-    if path is None:
-        raise ValueError(f"config is missing [paths] {key}")
-    return path
 
 
 def _history_text(history: TrainHistory) -> str:
@@ -138,41 +125,35 @@ def _history_text(history: TrainHistory) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    config = _read_config(args.config)
-    plant, attacks = plantsim.load_plant_config(config)
-    normal_steps = _option(config, "simulate", "normal_steps", 5000, int)
-    test_steps = _option(config, "simulate", "test_steps", 1000, int)
-    test_seed = _option(config, "simulate", "test_seed", plant.seed + 1, int)
+    plant, attacks = plantsim.load_plant_config(args.config)
+    defaults = {"normal_steps": 5000, "test_steps": 1000, "test_seed": plant.seed + 1}
+    steps = dataio.read_section(dataio.read_config(args.config), "simulate", defaults)
 
     os.makedirs(args.out, exist_ok=True)
-    normal = plantsim.simulate_normal(plant, normal_steps)
+    normal = plantsim.simulate_normal(plant, steps["normal_steps"])
     dataio.save_csv(normal, os.path.join(args.out, "normal.csv"))
-    test = plantsim.simulate_normal(replace(plant, seed=test_seed), test_steps)
+    test = plantsim.simulate_normal(replace(plant, seed=steps["test_seed"]), steps["test_steps"])
     test = plantsim.inject_attacks(test, attacks)
     dataio.save_csv(test, os.path.join(args.out, "test.csv"))
     print(
-        f"wrote normal.csv ({normal_steps} rows) and test.csv "
-        f"({test_steps} rows, {len(attacks)} attacks) to {args.out}"
+        f"wrote normal.csv ({len(normal)} rows) and test.csv "
+        f"({len(test)} rows, {len(attacks)} attacks) to {args.out}"
     )
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = _read_config(args.config)
-    train_path = _path_from_config(config, "train_csv")
-    artifact_path = _path_from_config(config, "artifact")
-    frame = load_csv(train_path, infer_schema(train_path))
-    settings = _settings_from_config(config)
-    budget = _budget_from_config(config)
-    fitted = fit_pipeline(frame, settings, budget, seed=_option(config, "seeds", "pipeline", 0, int))
-    save_pipeline(artifact_path, fitted)
-    history_path = _option(config, "paths", "history_csv", None, str)
-    if history_path is not None:
-        _write_text(history_path, _history_text(fitted.history))
+    run = _run_config(args.config, ("train_csv", "artifact"))
+    paths = run.paths
+    frame = load_csv(paths["train_csv"], infer_schema(paths["train_csv"]))
+    fitted = fit_pipeline(frame, run.settings, run.budget, seed=run.seed)
+    save_pipeline(paths["artifact"], fitted)
+    if paths["history_csv"] is not None:
+        _write_text(paths["history_csv"], _history_text(fitted.history))
     print(
-        f"trained {settings.detector} pipeline on {len(frame)} rows, "
+        f"trained {run.settings.detector} pipeline on {len(frame)} rows, "
         f"stopped after epoch {fitted.history.stopped_epoch}, "
-        f"delta {fitted.train_delta!r}; artifact at {artifact_path}"
+        f"delta {fitted.train_delta!r}; artifact at {paths['artifact']}"
     )
     return 0
 
@@ -219,43 +200,27 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    config = _read_config(args.config)
-    train_path = _path_from_config(config, "train_csv")
-    validation_path = _path_from_config(config, "validation_csv")
-    artifact_path = _path_from_config(config, "artifact")
+    run = _run_config(args.config, ("train_csv", "validation_csv", "artifact"))
+    train_path, validation_path = run.paths["train_csv"], run.paths["validation_csv"]
     train_frame = load_csv(train_path, infer_schema(train_path))
     validation_frame = load_csv(validation_path, infer_schema(validation_path))
 
-    ga_names = [f.name for f in fields(GaConfig)]
-    ga_config = GaConfig(**_fields_from_config(config, "ga", GaConfig, ga_names))
-    threads = _option(config, "ga", "threads", None, int)
+    evaluator = make_evaluator(train_frame, validation_frame, run.ga_budget, seed=run.ga.seed)
     # The config's gene values are the default genome, the first individual.
-    settings = _settings_from_config(config)
+    result = evolve(run.ga, evaluator, default_genome=run.settings, threads=run.threads)
 
-    full_budget = _budget_from_config(config)
-    # Evolution runs on a reduced epoch budget; the winner retrains in full.
-    ga_epochs = _option(config, "ga", "budget_epochs", 20, int)
-    ga_budget = replace(
-        full_budget,
-        epochs=ga_epochs,
-        early_stop_patience=min(full_budget.early_stop_patience, ga_epochs),
-    )
-    evaluator = make_evaluator(train_frame, validation_frame, ga_budget, seed=ga_config.seed)
-    result = evolve(ga_config, evaluator, default_genome=settings, threads=threads)
-
-    log_path = _option(config, "paths", "evolution_log", None, str)
-    if log_path is not None:
-        _write_text(log_path, evolution_log_text(result))
-    history_path = _option(config, "paths", "ga_history_csv", None, str)
-    if history_path is not None:
-        _write_text(history_path, history_csv(result))
+    if run.paths["evolution_log"] is not None:
+        _write_text(run.paths["evolution_log"], evolution_log_text(result))
+    if run.paths["ga_history_csv"] is not None:
+        _write_text(run.paths["ga_history_csv"], history_csv(result))
 
     best = result.best
     fitted = fit_pipeline(
-        train_frame, best.genome, full_budget, seed=genome_seed(ga_config.seed, best.genome)
+        train_frame, best.genome, run.budget, seed=genome_seed(run.ga.seed, best.genome)
     )
-    save_pipeline(artifact_path, fitted)
-    print(f"best genome {best.genome.key()} fitness {best.fitness!r}; artifact at {artifact_path}")
+    save_pipeline(run.paths["artifact"], fitted)
+    print(f"best genome {best.genome.key()} fitness {best.fitness!r}; "
+          f"artifact at {run.paths['artifact']}")
     return 0
 
 
@@ -324,8 +289,10 @@ def main(argv=None) -> int:
         FloatingPointError,
         ValueError,
         OSError,
+        MemoryError,
     ) as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
+        # A MemoryError may carry no message; its name is then the line.
+        print(f"{PROG}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

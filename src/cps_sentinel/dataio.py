@@ -1,7 +1,9 @@
-"""The CSV codec, and loading, validation, normalization and windowing of frames.
+"""The CSV codec, the config reader, and loading, validation, normalization
+and windowing of frames.
 
 Every CSV table the package writes or reads goes through `csv_text` and
-`read_csv`; the modules that own a table define its header.
+`read_csv`, and every INI config through `read_config` and `read_section`;
+the modules that own a table or a section define its header or its keys.
 
 Wire format: `Timestamp` column first (integer seconds, or ISO-8601 which is
 converted to epoch seconds), one decimal column per channel, and an optional
@@ -9,6 +11,7 @@ trailing `Normal/Attack` column holding the tokens ``Normal`` or ``Attack``.
 UTF-8, comma separated, header row required, one row per second.
 """
 
+import configparser
 import csv
 import io
 from dataclasses import dataclass
@@ -20,6 +23,10 @@ LABEL_COLUMN = "Normal/Attack"
 TIMESTAMP_COLUMN = "Timestamp"
 NORMAL_TOKEN = "Normal"
 ATTACK_TOKEN = "Attack"
+
+# The sections a config may hold, besides one `attack.<name>` per attack.
+CONFIG_SECTIONS = ("paths", "forecaster", "detector", "ga", "seeds", "plant", "simulate")
+ATTACK_SECTION = "attack."
 
 
 class DataFormatError(ValueError):
@@ -162,6 +169,43 @@ def _csv_rows(path, data: bytes) -> list[list[str]]:
     if not rows or not rows[0]:
         raise DataFormatError(f"{path}: missing header row")
     return rows
+
+
+def read_config(path) -> configparser.ConfigParser:
+    """The INI file at `path`, whose values are taken literally (no `%`
+    interpolation). A file that does not parse, a non-empty `[DEFAULT]`
+    (configparser would copy its keys into every section) and a section not
+    in `CONFIG_SECTIONS` or named `attack.<name>` raise ValueError."""
+    config = configparser.ConfigParser(interpolation=None)
+    try:
+        if not config.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {str(exc).splitlines()[0]}") from None
+    if config.defaults():
+        raise ValueError(f"[{config.default_section}]: not supported; set each key in its section")
+    for section in config.sections():
+        if section not in CONFIG_SECTIONS and not section.startswith(ATTACK_SECTION):
+            known = ", ".join((*CONFIG_SECTIONS, ATTACK_SECTION + "<name>"))
+            raise ValueError(f"[{section}]: unknown section; known sections: {known}")
+    return config
+
+
+def read_section(config, section: str, defaults: dict, parsers=None) -> dict:
+    """The value of each key of `defaults` in `[section]` of `config`: its
+    default when unset, else parsed by `parsers[key]` or as the type of its
+    default. An unknown key or a value that does not parse raises ValueError
+    "[section] key: reason"."""
+    values = dict(defaults)
+    parsers = parsers or {}
+    for key, text in config[section].items() if section in config else ():
+        if key not in defaults:
+            raise ValueError(f"[{section}] {key}: unknown key; known keys: {', '.join(defaults)}")
+        try:
+            values[key] = parsers.get(key, type(defaults[key]))(text)
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {key}: {exc}") from None
+    return values
 
 
 def read_header(path) -> list[str]:

@@ -19,13 +19,12 @@ through `math`: `np.log` differs from `math.log` in the last bit for some
 inputs, and a trace must not depend on how its noise was batched.
 """
 
-import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .dataio import ChannelSchema, TimeSeriesFrame
+from .dataio import ATTACK_SECTION, ChannelSchema, TimeSeriesFrame, read_config, read_section
 from .rng import Rng
 
 CHANNELS_PER_STAGE = 4
@@ -252,13 +251,8 @@ def inject_attacks(frame: TimeSeriesFrame, specs: list[AttackSpec]) -> TimeSerie
     )
 
 
-def _per_stage(raw: str, stages: int, key: str) -> tuple[float, ...]:
-    parts = [float(tok) for tok in raw.split(",")]
-    if len(parts) == 1:
-        return tuple(parts * stages)
-    if len(parts) != stages:
-        raise ValueError(f"{key} must give 1 or {stages} values, got {len(parts)}")
-    return tuple(parts)
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(","))
 
 
 def _parse_targets(raw: str) -> tuple[tuple[int, str], ...]:
@@ -281,47 +275,37 @@ def _parse_manipulation(raw: str) -> tuple:
     raise ValueError(f"unknown manipulation {raw!r}")
 
 
-def load_plant_config(parser) -> tuple[PlantConfig, list[AttackSpec]]:
-    """The [plant] section plus repeated [attack.*] blocks of a parsed INI
-    file, or of the INI file at the path `parser`.
+# The [plant] key of each PlantConfig field, in field order; the three
+# per-stage keys take one value for every stage or a comma list of one each.
+_PLANT_KEYS = ("stages", "capacity", "inflow", "outflow", "noise_sigma", "seed")
+_PER_STAGE_KEYS = _PLANT_KEYS[1:4]
+# The [attack.<name>] keys with their defaults; None marks a required key.
+_ATTACK_KEYS = dict(category=SSSP, start=None, duration=None, targets=None,
+                    manipulation=AttackSpec.manipulation)
+_ATTACK_PARSERS = dict(start=int, duration=int, targets=_parse_targets,
+                       manipulation=_parse_manipulation)
 
-    Plant keys: stages, capacity, inflow, outflow, noise_sigma, seed; the
-    rate/capacity keys accept a single value or a per-stage comma list.
-    Attack keys: category, start, duration, targets ("stage:channel" comma
-    list), manipulation ("freeze" | "offset:amount" | "force:state"); start,
-    duration and targets are required.
-    """
-    if not isinstance(parser, configparser.ConfigParser):
-        path, parser = parser, configparser.ConfigParser(interpolation=None)
-        if not parser.read(path):
-            raise FileNotFoundError(path)
-    if "plant" not in parser:
+
+def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
+    """The [plant] section and every [attack.<name>] section of the INI file
+    at `path`; the README documents their keys."""
+    config = read_config(path)
+    if "plant" not in config:
         raise ValueError("config has no [plant] section")
-    plant = parser["plant"]
-    stages = plant.getint("stages", 2)
-    config = PlantConfig(
-        stage_count=stages,
-        capacities=_per_stage(plant.get("capacity", "1000"), stages, "capacity"),
-        inflows=_per_stage(plant.get("inflow", "2.0"), stages, "inflow"),
-        outflows=_per_stage(plant.get("outflow", "1.6"), stages, "outflow"),
-        noise_sigma=plant.getfloat("noise_sigma", 0.5),
-        seed=plant.getint("seed", 0),
-    )
+    defaults = dict(zip(_PLANT_KEYS, astuple(PlantConfig())))
+    # Each per-stage default holds the same value for every stage.
+    defaults.update((key, defaults[key][:1]) for key in _PER_STAGE_KEYS)
+    values = read_section(config, "plant", defaults, dict.fromkeys(_PER_STAGE_KEYS, _floats))
+    for key in _PER_STAGE_KEYS:
+        if len(values[key]) == 1:
+            values[key] *= values["stages"]
+    plant = PlantConfig(*values.values())
     attacks = []
-    for section in parser.sections():
-        if not section.startswith("attack"):
-            continue
-        block = parser[section]
-        missing = [key for key in ("start", "duration", "targets") if key not in block]
-        if missing:
-            raise ValueError(f"[{section}] is missing {missing[0]}")
-        attacks.append(
-            AttackSpec(
-                category=block.get("category", SSSP),
-                start=block.getint("start"),
-                duration=block.getint("duration"),
-                targets=_parse_targets(block.get("targets")),
-                manipulation=_parse_manipulation(block.get("manipulation", FREEZE)),
-            )
-        )
-    return config, attacks
+    for section in config.sections():
+        if section.startswith(ATTACK_SECTION):
+            block = read_section(config, section, _ATTACK_KEYS, _ATTACK_PARSERS)
+            missing = [key for key, value in block.items() if value is None]
+            if missing:
+                raise ValueError(f"[{section}] is missing {missing[0]}")
+            attacks.append(AttackSpec(**block))
+    return plant, attacks

@@ -3,7 +3,9 @@
 A splitmix64 state update drives all sampling (weight init, plant noise,
 dropout masks, Gaussian augmentation, k-means++ seeding, GA operators) so
 that a run is reproducible from its integer seeds alone, independent of
-platform or library RNG versions.
+platform or library RNG versions. The exception is `Rng.gauss_array`, the
+augmentation noise: numpy's vectorized `log`, `cos` and `sin` transform its
+uniforms, so its bits may differ between numpy builds.
 """
 
 import math
@@ -95,8 +97,9 @@ class Rng:
         return np.array(list(map(_box_muller, (1.0 - u[0::2]).tolist(), u[1::2].tolist())))
 
     def gauss_array(self, n: int) -> np.ndarray:
-        """n standard normals, two per uniform pair through numpy (cos, sin):
-        a different stream from `gauss()`."""
+        """n standard normals, two per uniform pair through numpy's vectorized
+        `log`, `cos` and `sin`: a different stream from `gauss()`, and unlike
+        it and `gauss_batch`, one whose bits may differ between numpy builds."""
         pairs = (n + 1) // 2
         u = self.uniform_array(2 * pairs)
         u1 = 1.0 - u[:pairs]
@@ -118,6 +121,8 @@ class Rng:
         generator is rewound and the scalar loop runs, so the permutation and
         the generator's end state are always those of the scalar loop.
         """
+        if items.ndim != 1:
+            raise ValueError(f"shuffle takes a 1-D array, not {items.ndim}-D")
         n = len(items)
         if n < 2:
             return

@@ -1,9 +1,10 @@
-import configparser
 import json
+import re
 import shutil
 import subprocess
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from cps_sentinel.detectors import KMEANS
 from cps_sentinel.forecaster import TrainConfig
 from cps_sentinel.gaopt import GaConfig
 from cps_sentinel.pipeline import PipelineSettings
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PLANT_INI = """\
 [plant]
@@ -129,7 +132,119 @@ def test_config_values_are_not_interpolated(tmp_path, capsys):
     cfg = tmp_path / "plant.ini"
     cfg.write_text("[plant]\nnoise_sigma = 5%\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "cps-sentinel: could not convert string to float: '5%'\n"
+    assert capsys.readouterr().err == (
+        "cps-sentinel: [plant] noise_sigma: could not convert string to float: '5%'\n"
+    )
+
+
+# name -> (command, config text after a [paths] or [plant] header, the
+# message's `[section] key` or section and reason)
+MALFORMED_CONFIGS = {
+    "misspelled detector key": (
+        "train", "[detector]\ntype = ocsvm\n", "[detector] type: unknown key"
+    ),
+    "misspelled plant key": ("simulate", "noise_sgima = 0.0\n", "[plant] noise_sgima: unknown key"),
+    "word for an int": (
+        "train", "[forecaster]\nwindow = twelve\n",
+        "[forecaster] window: invalid literal for int() with base 10: 'twelve'",
+    ),
+    "section named like an attack": (
+        "simulate", "[attacker_notes]\nstart = 1\n", "[attacker_notes]: unknown section"
+    ),
+    "unknown train section": ("train", "[forcaster]\nwindow = 8\n", "[forcaster]: unknown section"),
+    "misspelled ga key": ("optimize", "[ga]\npopulaton_size = 5\n", "[ga] populaton_size: unknown"),
+    "misspelled paths key": ("train", "history = h.csv\n", "[paths] history: unknown key"),
+    "misspelled seeds key": ("train", "[seeds]\npipline = 3\n", "[seeds] pipline: unknown key"),
+    "word for the thread count": ("optimize", "[ga]\nthreads = all\n", "[ga] threads: invalid"),
+    "misspelled simulate key": (
+        "simulate", "[simulate]\nnormal_step = 9\n", "[simulate] normal_step: unknown key"
+    ),
+    "misspelled attack key": (
+        "simulate",
+        "[attack.1]\nstart = 1\nduration = 2\ntargets = 0:level\nmanipluation = freeze\n",
+        "[attack.1] manipluation: unknown key",
+    ),
+    "bad attack target": (
+        "simulate", "[attack.1]\nstart = 1\nduration = 2\ntargets = first:level\n",
+        "[attack.1] targets: invalid literal for int() with base 10: 'first'",
+    ),
+    "train default section": ("train", "[DEFAULT]\nseed = 1\n", "[DEFAULT]: not supported"),
+    "simulate default section": ("simulate", "[DEFAULT]\nseed = 1\n", "[DEFAULT]: not supported"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_a_malformed_config_exits_2_naming_the_key_before_reading_data(
+    tmp_path, capsys, monkeypatch, case
+):
+    command, text, message = MALFORMED_CONFIGS[case]
+    opened = []
+    monkeypatch.setattr(cli, "load_csv", lambda path, schema: opened.append(path))
+    monkeypatch.setattr(cli, "infer_schema", opened.append)
+    header = "[plant]\n" if command == "simulate" else f"""\
+[paths]
+train_csv = {tmp_path}/normal.csv
+validation_csv = {tmp_path}/test.csv
+artifact = {tmp_path}/model.npz
+"""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(header + text)
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cps-sentinel: {message}") and err.count("\n") == 1
+    assert opened == []
+    assert not (tmp_path / "model.npz").exists() and not (tmp_path / "out").exists()
+
+
+# Each size needs hundreds of petabytes, more than any address space, so the
+# first allocation fails at once whatever the overcommit policy.
+@pytest.mark.parametrize("ini, message", [
+    ("[plant]\n[simulate]\nnormal_steps = 10000000000000000\n", "Unable to allocate"),
+    ("[plant]\nstages = 100000000000000000\n", "MemoryError"),
+])
+def test_a_size_too_large_to_allocate_exits_2_in_one_line(tmp_path, capsys, ini, message):
+    cfg = tmp_path / "plant.ini"
+    cfg.write_text(ini)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cps-sentinel: {message}") and err.count("\n") == 1
+
+
+def _known(command: str, ini: str, tmp_path, capsys) -> list[str]:
+    """The names listed after "known ...: " in the error `ini` gives."""
+    cfg = tmp_path / "probe.ini"
+    cfg.write_text(ini)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv if command == "simulate" else argv[:3]) == 2
+    return capsys.readouterr().err.strip().split(": ")[-1].split(", ")
+
+
+def test_the_readme_key_table_lists_every_section_and_key_the_reader_accepts(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| section | key | field | default |")[1].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        section_cell, key_cell = row.split("|")[1:3]
+        if section_cell.strip():
+            section = section_cell.strip().strip("`[]")
+        documented.setdefault(section, set()).update(re.findall(r"`(\w+)`", key_cell))
+
+    sections = _known("train", "[not_a_section]\n", tmp_path, capsys)
+    assert sections[-1] == "attack.<name>"
+    assert set(documented) == {*sections[:-1], "attack.*"}
+    paths = "[paths]\ntrain_csv = t.csv\nartifact = m.npz\n"
+    for section in documented:
+        if section in ("plant", "simulate", "attack.*"):
+            name = section.replace("*", "1")
+            ini = ("" if section == "plant" else "[plant]\n") + f"[{name}]\nnot_a_key = 1\n"
+            accepted = _known("simulate", ini, tmp_path, capsys)
+        else:
+            ini = ("" if section == "paths" else paths) + f"[{section}]\nnot_a_key = 1\n"
+            accepted = _known("train", ini, tmp_path, capsys)
+        assert set(accepted) == documented[section], section
 
 
 @pytest.mark.parametrize("key", ["start", "duration", "targets"])
@@ -565,18 +680,22 @@ artifact = {tmp_path}/best.npz
     return seen
 
 
+def _read_run_config(tmp_path, ini):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    return cli._run_config(str(cfg), ())
+
+
 def test_every_config_key_sets_its_field(workspace, tmp_path, monkeypatch):
-    config = configparser.ConfigParser()
-    config.read_string(EVERY_KEY_INI)
-    settings = cli._settings_from_config(config)
+    run = _read_run_config(tmp_path, EVERY_KEY_INI)
+    settings = run.settings
     assert settings == PipelineSettings(
         window=16, beta=2.5, lag=3, conv1=16, conv2=16, kernel=5, dense1=128, dense2=16,
         dropout=0.1, learning_rate=0.01, detector=KMEANS, nu=0.1, gamma=10.0,
         augment_fraction=0.4,
     )
-    budget = cli._budget_from_config(config)
-    assert budget == TrainConfig(epochs=7, batch_size=9, early_stop_patience=4,
-                                 validation_fraction=0.25)
+    assert run.budget == TrainConfig(epochs=7, batch_size=9, early_stop_patience=4,
+                                     validation_fraction=0.25)
     seen = _optimize_inputs(workspace, tmp_path, monkeypatch, EVERY_KEY_INI)
     assert seen["ga"] == GaConfig(population_size=5, generations=2, tournament_size=2,
                                   crossover_rate=0.5, mutation_rate=0.3, elitism_count=2,
@@ -592,9 +711,9 @@ def test_every_config_key_sets_its_field(workspace, tmp_path, monkeypatch):
 
 
 def test_an_empty_config_gives_the_defaults(workspace, tmp_path, monkeypatch):
-    empty = configparser.ConfigParser()
-    assert cli._settings_from_config(empty) == PipelineSettings()
-    assert cli._budget_from_config(empty) == TrainConfig()
+    empty = _read_run_config(tmp_path, "")
+    assert empty.settings == PipelineSettings()
+    assert empty.budget == TrainConfig()
     seen = _optimize_inputs(workspace, tmp_path, monkeypatch, "")
     assert seen["ga"] == GaConfig() and seen["threads"] is None
     assert seen["default_genome"] == PipelineSettings()

@@ -96,6 +96,15 @@ def test_shuffle_is_permutation():
     np.testing.assert_array_equal(items, again)
 
 
+def test_shuffle_rejects_a_2d_array_before_drawing():
+    r = Rng(13)
+    rows = np.arange(12).reshape(6, 2)
+    with pytest.raises(ValueError, match="1-D"):
+        r.shuffle(rows)
+    np.testing.assert_array_equal(rows, np.arange(12).reshape(6, 2))
+    assert r.next_u64() == Rng(13).next_u64()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 64, 4489])
 def test_shuffle_is_the_scalar_fisher_yates(n):
     batched, scalar = Rng(23), Rng(23)

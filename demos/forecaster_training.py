@@ -51,7 +51,7 @@ def main():
         if epoch % 5 == 0 or epoch == len(history.val_loss) - 1:
             print(f"  epoch {epoch:3d}: val MAE {loss:.5f}")
     print(f"stopped at epoch {history.stopped_epoch}, "
-          f"best val MAE {history.best_val_loss:.5f}")
+          f"best val MAE {min(history.val_loss):.5f}")
 
     predictions, batch = predict_series(model, scaled)
     errors = compute_errors(predictions, batch.targets, batch.target_indices)

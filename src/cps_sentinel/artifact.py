@@ -3,11 +3,11 @@ module that knows its layout.
 
 One JSON metadata blob plus exact float64 arrays: every parameter round
 trips bit-exactly, so detection results are reproducible across hosts.
-Dataclasses are stored field by field, the forecaster as three flat vectors
-(parameters, Adam's two moments) and its step count; its architecture is not
-stored, as the settings and the channel schema determine it. Loading checks
-every entry it reads and raises ValueError naming the first one that is
-missing or malformed.
+Dataclasses are stored field by field and the forecaster as its flat
+parameter vector alone: the settings and the channel schema determine its
+architecture, and optimizer state is no part of a fitted pipeline. Loading
+checks every entry it reads and raises ValueError naming the first one that
+is missing or malformed.
 """
 
 import json
@@ -24,12 +24,11 @@ from .detectors import KMEANS, OCSVM, THRESHOLD, KmeansModel, OcsvmModel, Thresh
 from .forecaster import CnnModel
 from .pipeline import FittedPipeline, PipelineSettings, build_forecaster, forecaster_size
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 # Keyed by PipelineSettings.detector, the one record of which detector a
 # pipeline runs.
 _DETECTOR_CLASSES = {THRESHOLD: ThresholdModel, OCSVM: OcsvmModel, KMEANS: KmeansModel}
-_MODEL_VECTORS = ("params", "adam_m", "adam_v")
 
 # JSON types accepted for each annotated field type.
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), list: (list,), dict: (dict,)}
@@ -91,23 +90,13 @@ def _decode(cls, meta: dict, section: str, arrays: dict):
     return cls(**kwargs)
 
 
-def _encode_model(model: CnnModel, arrays: dict) -> dict:
-    for name in _MODEL_VECTORS:
-        arrays[f"model.{name}"] = getattr(model, f"flat_{name}")
-    return {"adam_t": model.adam_t}
-
-
-def _decode_model(settings: PipelineSettings, channels: int, meta: dict, arrays: dict) -> CnnModel:
-    """The settings' forecaster, holding the stored vectors; a vector whose
+def _decode_model(settings: PipelineSettings, channels: int, arrays: dict) -> CnnModel:
+    """The settings' forecaster, holding the stored parameters; a vector whose
     length the settings do not produce is rejected before the model is
     allocated, so a huge gene costs no memory."""
-    shape = (forecaster_size(settings, channels),)
-    vectors = [_array(arrays, f"model.{name}", shape) for name in _MODEL_VECTORS]
-    adam_t = _get(meta, "adam_t", int, "model")
+    params = _array(arrays, "model.params", (forecaster_size(settings, channels),))
     model = build_forecaster(settings, channels, seed=0)
-    for name, vector in zip(_MODEL_VECTORS, vectors):
-        getattr(model, f"flat_{name}")[...] = vector
-    model.adam_t = adam_t
+    model.flat_params[...] = params
     return model
 
 
@@ -115,7 +104,7 @@ def save_pipeline(path, fitted: FittedPipeline) -> None:
     kind = fitted.settings.detector
     if type(fitted.detector) is not _DETECTOR_CLASSES[kind]:
         raise ValueError(f"{kind} pipeline holds a {type(fitted.detector).__name__}")
-    arrays: dict[str, np.ndarray] = {}
+    arrays: dict[str, np.ndarray] = {"model.params": fitted.model.flat_params}
     meta = {
         "format_version": FORMAT_VERSION,
         "settings": _encode(fitted.settings, "settings", arrays),
@@ -123,7 +112,6 @@ def save_pipeline(path, fitted: FittedPipeline) -> None:
         "scaler": _encode(fitted.scaler, "scaler", arrays),
         "train_delta": fitted.train_delta,
         "train_sigma": fitted.train_sigma,
-        "model": _encode_model(fitted.model, arrays),
         "detector": _encode(fitted.detector, "detector", arrays),
     }
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
@@ -158,7 +146,10 @@ def load_pipeline(path) -> FittedPipeline:
         raise ValueError(
             f"artifact parts disagree: {channels} channels, {len(scaler.mins)} scaler entries"
         )
-    model = _decode_model(settings, channels, _get(meta, "model", dict, "artifact"), arrays)
+    if settings.detector == OCSVM and detector.gamma != settings.gamma:
+        raise ValueError(f"artifact fields disagree: settings.gamma {settings.gamma!r}, "
+                         f"detector.gamma {detector.gamma!r}")
+    model = _decode_model(settings, channels, arrays)
     return FittedPipeline(
         settings=settings,
         schema=schema,

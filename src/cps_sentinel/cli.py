@@ -105,16 +105,22 @@ def _run_config(path: str, required_paths) -> SimpleNamespace:
     ga = dataio.read_section(
         config, "ga", {**asdict(GaConfig()), "threads": None, "budget_epochs": 20}, {"threads": int}
     )
-    settings = replace(genes, detector=detector.pop("kind"), **detector,
-                       **{name: forecaster.pop(name) for name in _FORECASTER_GENES})
-    budget = TrainConfig(early_stop_patience=forecaster.pop("patience"), **forecaster)
+    keys = {key: f"[{name}] {key}" for name, section in
+            (("forecaster", forecaster), ("detector", detector), ("ga", ga)) for key in section}
+    keys.update(detector="[detector] kind", early_stop_patience="[forecaster] patience")
+    threads, ga_epochs = ga.pop("threads"), ga.pop("budget_epochs")
+    with dataio.naming_keys(keys):
+        settings = replace(genes, detector=detector.pop("kind"), **detector,
+                           **{name: forecaster.pop(name) for name in _FORECASTER_GENES})
+        budget = TrainConfig(early_stop_patience=forecaster.pop("patience"), **forecaster)
+        ga_config = GaConfig(**ga)
     # Evolution runs on a reduced epoch budget; the winner retrains in full.
-    ga_epochs = ga.pop("budget_epochs")
-    ga_budget = replace(budget, epochs=ga_epochs,
-                        early_stop_patience=min(budget.early_stop_patience, ga_epochs))
+    with dataio.naming_keys({"epochs": "[ga] budget_epochs"}):
+        ga_budget = replace(budget, epochs=ga_epochs,
+                            early_stop_patience=min(budget.early_stop_patience, ga_epochs))
     return SimpleNamespace(
         paths=paths, settings=settings, budget=budget, ga_budget=ga_budget,
-        threads=ga.pop("threads"), ga=GaConfig(**ga),
+        threads=threads, ga=ga_config,
         seed=dataio.read_section(config, "seeds", {"pipeline": 0})["pipeline"],
     )
 
@@ -189,12 +195,14 @@ def _read_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
 def _cmd_evaluate(args) -> int:
     verdicts = read_verdicts(args.verdicts)
     label_indices, label_flags = _read_labels(args.labels)
-    lookup = {int(ix): bool(fl) for ix, fl in zip(label_indices, label_flags)}
-    try:
-        truth = np.asarray([lookup[int(ix)] for ix in verdicts.indices], dtype=bool)
-    except KeyError as exc:
-        raise ValueError(f"labels file has no entry for index {exc.args[0]}") from None
-    counts, report = score(verdicts, truth)
+    # The last label of an index counts, looked up as in `align_to_series`.
+    order = np.argsort(label_indices, kind="stable")
+    pos = np.searchsorted(label_indices[order], verdicts.indices, side="right") - 1
+    found = pos >= 0
+    found[found] = label_indices[order[pos[found]]] == verdicts.indices[found]
+    if not found.all():
+        raise ValueError(f"labels file has no entry for index {verdicts.indices[~found][0]}")
+    counts, report = score(verdicts, label_flags[order[pos]])
     sys.stdout.write(report_text(counts, report))
     return 0
 

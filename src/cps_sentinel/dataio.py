@@ -12,6 +12,7 @@ UTF-8, comma separated, header row required, one row per second.
 """
 
 import configparser
+import contextlib
 import csv
 import io
 from dataclasses import dataclass
@@ -31,6 +32,14 @@ ATTACK_SECTION = "attack."
 
 class DataFormatError(ValueError):
     """Malformed input data; message carries the offending row when known."""
+
+
+class FieldError(ValueError):
+    """A dataclass check that failed on the values of `fields`."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -206,6 +215,16 @@ def read_section(config, section: str, defaults: dict, parsers=None) -> dict:
         except ValueError as exc:
             raise ValueError(f"[{section}] {key}: {exc}") from None
     return values
+
+
+@contextlib.contextmanager
+def naming_keys(keys: dict):
+    """Re-raise a FieldError from the block as ValueError "[section] key: reason",
+    naming each of its fields by `keys[field]`, its "[section] key"."""
+    try:
+        yield
+    except FieldError as exc:
+        raise ValueError(f"{', '.join(keys[name] for name in exc.fields)}: {exc}") from None
 
 
 def read_header(path) -> list[str]:

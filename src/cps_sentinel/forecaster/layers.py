@@ -56,9 +56,6 @@ class DenseSpec:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
 
-LayerSpec = Conv1DSpec | MaxPool1DSpec | FlattenSpec | DenseSpec
-
-
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == RELU:
         return np.maximum(z, 0.0)
@@ -87,11 +84,10 @@ class ShapeError(ValueError):
 
 
 class Conv1DLayer:
-    def __init__(self, spec: Conv1DSpec, in_len: int, in_ch: int, rng: Rng):
+    def __init__(self, spec: Conv1DSpec, in_ch: int, rng: Rng):
         k, f = spec.kernel_size, spec.filters
         self.spec = spec
-        self.in_len, self.in_ch = in_len, in_ch
-        self.out_shape = (in_len, f)
+        self.in_ch = in_ch
         self.weights = glorot_uniform(rng, (k, in_ch, f), fan_in=k * in_ch, fan_out=k * f)
         self.bias = np.zeros(f)
 
@@ -153,7 +149,6 @@ class MaxPool1DLayer:
             raise ShapeError(f"pool size 2 does not divide input length {in_len}")
         self.spec = spec
         self.in_len, self.in_ch = in_len, in_ch
-        self.out_shape = (in_len // 2, in_ch)
 
     @property
     def params(self):
@@ -181,7 +176,6 @@ class FlattenLayer:
     def __init__(self, spec: FlattenSpec, in_len: int, in_ch: int):
         self.spec = spec
         self.in_len, self.in_ch = in_len, in_ch
-        self.out_shape = (in_len * in_ch,)
 
     @property
     def params(self):
@@ -199,8 +193,6 @@ class FlattenLayer:
 class DenseLayer:
     def __init__(self, spec: DenseSpec, in_features: int, rng: Rng):
         self.spec = spec
-        self.in_features = in_features
-        self.out_shape = (spec.units,)
         self.weights = glorot_uniform(
             rng, (in_features, spec.units), fan_in=in_features, fan_out=spec.units
         )

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..dataio import TimeSeriesFrame, WindowBatch, make_windows
+from ..dataio import FieldError, TimeSeriesFrame, WindowBatch, make_windows
 from ..rng import Rng, derive_seed
 from .layers import (
     SIGMOID,
@@ -40,17 +40,16 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, not {getattr(self, f.name)!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+                raise FieldError(f"{f.name} must be finite, not {getattr(self, f.name)!r}", f.name)
+        for name in ("epochs", "batch_size", "early_stop_patience"):
+            if getattr(self, name) < 1:
+                raise FieldError(f"{name} must be positive", name)
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be positive")
+            raise FieldError("learning_rate must be positive", "learning_rate")
         if self.early_stop_patience > self.epochs:
-            raise ValueError("patience must not exceed epochs")
+            raise FieldError("patience must not exceed epochs", "early_stop_patience", "epochs")
         if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must lie in (0, 1)")
+            raise FieldError("validation_fraction must lie in (0, 1)", "validation_fraction")
 
 
 @dataclass
@@ -61,10 +60,6 @@ class TrainHistory:
     @property
     def stopped_epoch(self) -> int:
         return len(self.val_loss)
-
-    @property
-    def best_val_loss(self) -> float:
-        return min(self.val_loss)
 
 
 class EarlyStopper:
@@ -114,9 +109,9 @@ class CnnModel:
 
     The parameters and Adam's two moments each live in one flat float64
     vector (`flat_params`, `flat_adam_m`, `flat_adam_v`), concatenated in
-    layer order. `params`, `adam_m` and `adam_v` are per-tensor views into
-    them, and every layer's `weights` and `bias` are the same views, so
-    writing through any of them writes the flat vector.
+    layer order. `params` holds per-tensor views into `flat_params`, and
+    every layer's `weights` and `bias` are the same views, so writing
+    through any of them writes the flat vector.
 
     Training (`train`, `adam_step`) mutates the instance and needs external
     synchronization; `forward`/`predict_series` on a model nobody is training
@@ -128,31 +123,18 @@ class CnnModel:
         self.layers = layers
         tensors = [p for layer in layers for p in layer.params]
         offsets = np.cumsum([p.size for p in tensors])[:-1]
-
-        def views(flat):
-            return [v.reshape(p.shape) for v, p in zip(np.split(flat, offsets), tensors)]
-
         self.flat_params = np.concatenate([p.ravel() for p in tensors])
         self.flat_adam_m = np.zeros_like(self.flat_params)
         self.flat_adam_v = np.zeros_like(self.flat_params)
-        self.params = views(self.flat_params)
-        self.adam_m = views(self.flat_adam_m)
-        self.adam_v = views(self.flat_adam_v)
+        chunks = np.split(self.flat_params, offsets)
+        self.params = [v.reshape(p.shape) for v, p in zip(chunks, tensors)]
         shared = iter(self.params)
         for layer in layers:
             if layer.params:
                 layer.weights, layer.bias = next(shared), next(shared)
         self.adam_t = 0
 
-    @property
-    def w(self) -> int:
-        return self.input_shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.input_shape[1]
-
-    def forward(self, window: np.ndarray, training: bool = False, rng: Rng | None = None) -> np.ndarray:
+    def forward(self, window: np.ndarray) -> np.ndarray:
         """Predict the next reading for one (w, C) window or a (B, w, C) batch."""
         x = np.asarray(window, dtype=np.float64)
         single = x.ndim == 2
@@ -163,7 +145,7 @@ class CnnModel:
                 f"window shape {x.shape[1:]} does not match model input {self.input_shape}"
             )
         for layer in self.layers:
-            x, _ = layer.forward(x, training=training, rng=rng)
+            x, _ = layer.forward(x)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite forecaster output: parameters blew up")
         return x[0] if single else x
@@ -181,8 +163,6 @@ class CnnModel:
         """
         x = np.asarray(windows, dtype=np.float64)
         y = np.asarray(targets, dtype=np.float64)
-        if x.ndim == 2:
-            x, y = x[None], y[None]
         caches = []
         out = x
         for layer in self.layers:
@@ -261,7 +241,7 @@ def build_model(w: int, channels: int, specs: list, seed: int = 0) -> CnnModel:
     layers = []
     for spec, shape, _ in walk:
         if isinstance(spec, Conv1DSpec):
-            layers.append(Conv1DLayer(spec, shape[0], shape[1], rng))
+            layers.append(Conv1DLayer(spec, shape[1], rng))
         elif isinstance(spec, MaxPool1DSpec):
             layers.append(MaxPool1DLayer(spec, shape[0], shape[1]))
         elif isinstance(spec, FlattenSpec):
@@ -304,7 +284,7 @@ def _batched_mae(model: CnnModel, inputs: np.ndarray, targets: np.ndarray) -> fl
     total = 0.0
     for lo in range(0, len(inputs), PREDICT_CHUNK):
         chunk = slice(lo, lo + PREDICT_CHUNK)
-        pred = model.forward(inputs[chunk], training=False)
+        pred = model.forward(inputs[chunk])
         total += float(np.sum(np.abs(pred - targets[chunk])))
     return total / (len(inputs) * targets.shape[1])
 
@@ -364,9 +344,10 @@ def predict_series(model: CnnModel, frame: TimeSeriesFrame) -> tuple[np.ndarray,
     predictions[i] forecasts batch.targets[i], the reading at absolute
     timestep batch.target_indices[i].
     """
-    batch = make_windows(frame, model.w)
-    preds = np.empty((len(batch), model.channels))
+    w, channels = model.input_shape
+    batch = make_windows(frame, w)
+    preds = np.empty((len(batch), channels))
     for lo in range(0, len(batch), PREDICT_CHUNK):
         chunk = slice(lo, lo + PREDICT_CHUNK)
-        preds[chunk] = model.forward(batch.inputs[chunk], training=False)
+        preds[chunk] = model.forward(batch.inputs[chunk])
     return preds, batch

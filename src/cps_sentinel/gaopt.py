@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import TimeSeriesFrame, csv_text
+from .dataio import FieldError, TimeSeriesFrame, csv_text
 from .detectors import DETECTOR_KINDS, NonConvergence
 from .forecaster import TrainConfig
 from .pipeline import PipelineSettings, evaluate_frame, fit_pipeline
@@ -158,15 +158,18 @@ class GaConfig:
 
     def __post_init__(self):
         if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
+            raise FieldError("population_size must be at least 2", "population_size")
         if self.generations < 1:
-            raise ValueError("generations must be positive")
+            raise FieldError("generations must be positive", "generations")
         if not 0 < self.tournament_size <= self.population_size:
-            raise ValueError("tournament_size must lie in [1, population_size]")
-        if not 0.0 <= self.crossover_rate <= 1.0 or not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("rates must lie in [0, 1]")
+            raise FieldError("tournament_size must lie in [1, population_size]",
+                             "tournament_size", "population_size")
+        for name in ("crossover_rate", "mutation_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise FieldError("rates must lie in [0, 1]", name)
         if not 0 <= self.elitism_count < self.population_size:
-            raise ValueError("elitism_count must be below population_size")
+            raise FieldError("elitism_count must be below population_size",
+                             "elitism_count", "population_size")
 
 
 def genome_seed(base_seed: int, genome: PipelineSettings) -> int:

@@ -11,6 +11,7 @@ import numpy as np
 
 from .dataio import (
     ChannelSchema,
+    FieldError,
     MinMaxScaler,
     TimeSeriesFrame,
     apply_minmax,
@@ -71,13 +72,13 @@ class PipelineSettings:
     def __post_init__(self):
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, not {getattr(self, f.name)!r}")
+                raise FieldError(f"{f.name} must be finite, not {getattr(self, f.name)!r}", f.name)
         if self.detector not in DETECTOR_KINDS:
-            raise ValueError(f"unknown detector {self.detector!r}")
+            raise FieldError(f"unknown detector {self.detector!r}", "detector")
         if self.window < 1:
-            raise ValueError("window must be positive")
+            raise FieldError("window must be positive", "window")
         if self.lag < 0:
-            raise ValueError("lag must be non-negative")
+            raise FieldError("lag must be non-negative", "lag")
 
     def key(self) -> str:
         """Canonical `gene=value;...` string of every field but

@@ -20,11 +20,12 @@ inputs, and a trace must not depend on how its noise was batched.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .dataio import ATTACK_SECTION, ChannelSchema, TimeSeriesFrame, read_config, read_section
+from .dataio import ATTACK_SECTION, ChannelSchema, FieldError, TimeSeriesFrame, naming_keys
+from .dataio import read_config, read_section
 from .rng import Rng
 
 CHANNELS_PER_STAGE = 4
@@ -55,19 +56,19 @@ class PlantConfig:
 
     def __post_init__(self):
         if self.stage_count < 1:
-            raise ValueError("stage_count must be >= 1")
+            raise FieldError("stage_count must be >= 1", "stage_count")
         for name in ("capacities", "inflows", "outflows"):
             per_stage = getattr(self, name)
             if len(per_stage) != self.stage_count:
-                raise ValueError(f"{name} must list one value per stage")
+                raise FieldError(f"{name} must list one value per stage", name, "stage_count")
             if not all(map(math.isfinite, per_stage)):
-                raise ValueError(f"{name} must be finite, not {per_stage!r}")
+                raise FieldError(f"{name} must be finite, not {per_stage!r}", name)
             if any(v <= 0 for v in per_stage):
-                raise ValueError(f"{name} must be positive")
+                raise FieldError(f"{name} must be positive", name)
         if not math.isfinite(self.noise_sigma):
-            raise ValueError(f"noise_sigma must be finite, not {self.noise_sigma!r}")
+            raise FieldError(f"noise_sigma must be finite, not {self.noise_sigma!r}", "noise_sigma")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise FieldError("noise_sigma must be >= 0", "noise_sigma")
 
     def schema(self) -> ChannelSchema:
         return ChannelSchema(
@@ -299,7 +300,8 @@ def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
     for key in _PER_STAGE_KEYS:
         if len(values[key]) == 1:
             values[key] *= values["stages"]
-    plant = PlantConfig(*values.values())
+    with naming_keys({f.name: f"[plant] {key}" for f, key in zip(fields(PlantConfig), values)}):
+        plant = PlantConfig(*values.values())
     attacks = []
     for section in config.sections():
         if section.startswith(ATTACK_SECTION):

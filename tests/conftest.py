@@ -11,6 +11,30 @@ from cps_sentinel.cli import main
 from cps_sentinel.dataio import ChannelSchema, TimeSeriesFrame
 from cps_sentinel.rng import Rng
 
+# Unbalanced flows on three small tanks: every stage's valve toggles many
+# times, and the third tank's level clips at 0 and at its capacity.
+TOGGLING_PLANT_INI = """\
+[plant]
+stages = 3
+capacity = 100, 150, 20
+inflow = 6.0, 4.5, 15.0
+outflow = 5.0, 7.0, 12.0
+noise_sigma = 0.3
+seed = 21
+
+[simulate]
+normal_steps = 1500
+test_steps = 400
+test_seed = 22
+
+[attack.1]
+category = SSMP
+start = 100
+duration = 50
+targets = 1:valve,1:pump
+manipulation = force:1
+"""
+
 # Hypothesis runs: deterministic, bounded, and leaving no example database behind.
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 

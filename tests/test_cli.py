@@ -170,6 +170,22 @@ MALFORMED_CONFIGS = {
     ),
     "train default section": ("train", "[DEFAULT]\nseed = 1\n", "[DEFAULT]: not supported"),
     "simulate default section": ("simulate", "[DEFAULT]\nseed = 1\n", "[DEFAULT]: not supported"),
+    # A value that parses but fails its dataclass check still names its key.
+    "nan capacity": (
+        "simulate", "capacity = nan\n", "[plant] capacity: capacities must be finite, not (nan, nan)"
+    ),
+    "zero patience": (
+        "train", "[forecaster]\npatience = 0\n",
+        "[forecaster] patience: early_stop_patience must be positive",
+    ),
+    "patience past the epochs": (
+        "train", "[forecaster]\nepochs = 3\npatience = 5\n",
+        "[forecaster] patience, [forecaster] epochs: patience must not exceed epochs",
+    ),
+    "unknown detector kind": ("train", "[detector]\nkind = svm\n", "[detector] kind: unknown detector"),
+    "mutation rate past 1": (
+        "optimize", "[ga]\nmutation_rate = 2\n", "[ga] mutation_rate: rates must lie in [0, 1]"
+    ),
 }
 
 
@@ -270,7 +286,7 @@ def test_simulate_rejects_a_non_finite_plant_float(tmp_path, capsys, key, field,
     err = capsys.readouterr().err
     assert code == 2
     shown = float(value) if field == "noise_sigma" else (float(value),)
-    assert err == f"cps-sentinel: {field} must be finite, not {shown!r}\n"
+    assert err == f"cps-sentinel: [plant] {key}: {field} must be finite, not {shown!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -307,7 +323,8 @@ def test_train_rejects_a_non_finite_float_before_writing(workspace, tmp_path, ca
     code = main(["train", "--config", str(cfg)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == f"cps-sentinel: {key} must be finite, not {float(value)!r}\n"
+    section = {"beta": "detector", "learning_rate": "forecaster"}[key]
+    assert err == f"cps-sentinel: [{section}] {key}: {key} must be finite, not {float(value)!r}\n"
     assert not (tmp_path / "model.npz").exists()
 
 
@@ -363,17 +380,34 @@ def _drop(mapping, key):
     del mapping[key]
 
 
+def _as_v5(meta, arrays):
+    """The model as format version 5 stored it: Adam's state besides the parameters."""
+    meta["model"] = {"adam_t": 3}
+    arrays["model.adam_m"] = arrays["model.adam_v"] = np.zeros_like(arrays["model.params"])
+    meta["format_version"] = 5
+
+
 def _as_v4(meta, arrays):
     """The schema as format version 4 stored it: a kind per channel besides its name."""
+    _as_v5(meta, arrays)
     meta["schema"]["kinds"] = ["sensor"] * len(meta["schema"]["names"])
     meta["format_version"] = 4
 
 
 def _as_v3(meta, arrays):
     """The model as format version 3 stored it: its architecture besides the settings."""
+    _as_v5(meta, arrays)
     meta["model"]["input_shape"] = [meta["settings"]["window"], 4]
     meta["model"]["layer_specs"] = [{"kind": "maxpool1d", "pool": 2}]
     meta["format_version"] = 3
+
+
+def _ocsvm_with_another_gamma(meta, arrays):
+    """An OC-SVM detector whose gamma is twice the settings' copy."""
+    meta["settings"]["detector"] = "ocsvm"
+    meta["detector"] = {"gamma": 2 * meta["settings"]["gamma"], "rho": 0.5}
+    arrays["detector.support_vectors"] = np.zeros((1, 2))
+    arrays["detector.alphas"] = np.ones(1)
 
 
 def _shrink_scaler(meta, arrays):
@@ -402,8 +436,8 @@ BROKEN_ARTIFACTS = {
         lambda meta, arrays: arrays.update({"model.params": np.zeros((1, 1, 1))}), "of shape"
     ),
     "flat vector of the wrong length": (
-        lambda meta, arrays: arrays.update({"model.adam_v": arrays["model.adam_v"][:-1]}),
-        "model.adam_v must be",
+        lambda meta, arrays: arrays.update({"model.params": arrays["model.params"][:-1]}),
+        "model.params must be",
     ),
     "unknown detector kind": (
         lambda meta, arrays: meta["settings"].update(detector="oracle"), "unknown detector"
@@ -414,8 +448,12 @@ BROKEN_ARTIFACTS = {
     "v2 artifact": (_as_v2, "unsupported artifact format version 2"),
     "v3 artifact": (_as_v3, "unsupported artifact format version 3"),
     "v4 artifact": (_as_v4, "unsupported artifact format version 4"),
+    "v5 artifact": (_as_v5, "unsupported artifact format version 5"),
     "conv1 that disagrees with the stored parameters": (
         lambda meta, arrays: meta["settings"].update(conv1=9), "model.params must be"
+    ),
+    "OC-SVM gamma that disagrees with the settings": (
+        _ocsvm_with_another_gamma, "artifact fields disagree: settings.gamma 1.0, detector.gamma 2.0"
     ),
     "scaler with the wrong channel count": (
         _shrink_scaler, "artifact parts disagree: 4 channels, 3 scaler entries"

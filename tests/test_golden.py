@@ -4,14 +4,13 @@ The README promises "same inputs, same bytes out"; these pins make that
 checkable across refactors. They pin the sha256 of every CSV the run writes
 (the simulated frames, `history.csv`, `verdicts.csv`, `errors.csv` and the
 report's `error_series.csv` and `embedding.csv`), and a digest of the trained
-parameters and Adam moments that does not depend on how the artifact lays
-them out. A change that alters these bytes on purpose re-records the values
-and says why in CHANGES.md.
+parameters that does not depend on how the artifact lays them out. A change
+that alters these bytes on purpose re-records the values and says why in
+CHANGES.md.
 """
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from cps_sentinel import cli
@@ -20,6 +19,8 @@ from cps_sentinel.cli import main
 from cps_sentinel.forecaster import TrainHistory
 from cps_sentinel.gaopt import EvolutionResult, Individual, history_csv
 from cps_sentinel.pipeline import PipelineSettings
+
+from conftest import TOGGLING_PLANT_INI
 
 PLANT_INI = """\
 [plant]
@@ -43,49 +44,25 @@ targets = 0:level,0:flow,1:level,1:flow
 manipulation = offset:-6
 """
 
-# Unbalanced flows on three small tanks: every stage's valve toggles many
-# times, and the third tank's level clips at 0 and at its capacity.
-TOGGLING_PLANT_INI = """\
-[plant]
-stages = 3
-capacity = 100, 150, 20
-inflow = 6.0, 4.5, 15.0
-outflow = 5.0, 7.0, 12.0
-noise_sigma = 0.3
-seed = 21
-
-[simulate]
-normal_steps = 1500
-test_steps = 400
-test_seed = 22
-
-[attack.1]
-category = SSMP
-start = 100
-duration = 50
-targets = 1:valve,1:pump
-manipulation = force:1
-"""
-
-# detector -> (dropout, sha256 of verdicts.csv, of errors.csv, of the model state)
+# detector -> (dropout, sha256 of verdicts.csv, of errors.csv, of the parameters)
 GOLDEN = {
     "threshold": (
         0.2,
         "ea306065ba785d2d76dd3c60c9da3720bc61967e38fbad16fb578e30fbb9cbbb",
         "566ea15b410cebecfe3e794a3ac02a0ba5a3cd45030410cc03f71a1ec82def43",
-        "4af70df7432ad866c9462552609c5aa097bb3c5f8aa97123d8c0c39d7cac59cb",
+        "8e62caffc51d02bcf50e11e80e0825f1d26c96403280cb1e36efa26585011a54",
     ),
     "ocsvm": (
         0.1,
         "e69aeeaf1fc2595cecfa44943934a313f67a5eda4abcf379c4874fb0c4742b73",
         "57f905e09a716c0d64ad947d4690867577dbb1f719e71239e956fa2d044210e5",
-        "8eea20f73436a393013cd7587c4cc3c3d22dc2643c27b1a9239b1d79655fedfe",
+        "f3a2f2f619b8844d27c7c5d2db442f5e8b4c44de86faa502dffb7602f64508d2",
     ),
     "kmeans": (
         0.0,
         "4756d1bfde1eb5a35d323ceab5858bff5556002f89a67f5ab5b1d61c80047eca",
         "4b8e7904f988f8f9a141cbe7629b1604ec808d800d2d8f9c5730bbf1da898f22",
-        "8e50e2300093a84102048e5c039bc6adb1cfa342bb7e290b0e5960bf7ee953b3",
+        "721282b0498e1527be8aecd87ceb685caee771540c44492ce29e81a194b23a35",
     ),
 }
 
@@ -154,12 +131,8 @@ def sha256(data: bytes) -> str:
 
 
 def model_digest(model) -> str:
-    """Parameters, then Adam first and second moments, each in layer order."""
-    parts = [
-        np.concatenate([np.ravel(a) for a in tensors]).astype("<f8").tobytes()
-        for tensors in (model.params, model.adam_m, model.adam_v)
-    ]
-    return sha256(b"".join(parts) + str(model.adam_t).encode())
+    """The flat parameter vector, in layer order, as little-endian float64."""
+    return sha256(model.flat_params.astype("<f8").tobytes())
 
 
 @pytest.fixture(scope="module")

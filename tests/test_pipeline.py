@@ -6,16 +6,23 @@ import pytest
 
 from cps_sentinel.artifact import _decode, _encode, load_pipeline, save_pipeline
 from cps_sentinel.detectors import KMEANS, OCSVM, THRESHOLD, KmeansModel, OcsvmModel
-from cps_sentinel.forecaster import Conv1DSpec, DenseSpec, TrainConfig
+from cps_sentinel.dataio import apply_minmax
+from cps_sentinel.forecaster import Conv1DSpec, DenseSpec, TrainConfig, predict_series
 from cps_sentinel.pipeline import (
     PipelineSettings,
     detect_frame,
     evaluate_frame,
     fit_pipeline,
 )
-from cps_sentinel.plantsim import AttackSpec, PlantConfig, inject_attacks, simulate_normal
+from cps_sentinel.plantsim import (
+    AttackSpec,
+    PlantConfig,
+    inject_attacks,
+    load_plant_config,
+    simulate_normal,
+)
 
-from conftest import make_frame, random_frame
+from conftest import TOGGLING_PLANT_INI, make_frame, random_frame
 
 TINY_BUDGET = TrainConfig(epochs=2, batch_size=32, early_stop_patience=2, seed=77)
 SMALL = dict(window=8, conv1=8, conv2=8, dense1=8, dense2=8, dropout=0.0,
@@ -158,11 +165,11 @@ def test_artifact_round_trip_reproduces_verdicts(tmp_path, kind):
     }
     with np.load(path) as data:
         assert set(data.files) == {
-            "meta", "scaler.mins", "scaler.maxs", "model.params", "model.adam_m", "model.adam_v",
+            "meta", "scaler.mins", "scaler.maxs", "model.params",
         } | detector_arrays[kind]
         meta = json.loads(bytes(data["meta"]))
     # The settings are the only record of the forecaster's architecture.
-    assert meta["format_version"] == 5 and meta["model"] == {"adam_t": fitted.model.adam_t}
+    assert meta["format_version"] == 6 and "model" not in meta
     assert meta["schema"] == {"names": ["C0", "C1"]}
     assert set(meta["detector"]) == detector_meta[kind]
     loaded = load_pipeline(path)
@@ -209,3 +216,20 @@ def test_load_pipeline_rejects_other_format_versions(tmp_path):
     np.savez(bad, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
     with pytest.raises(ValueError, match="format version"):
         load_pipeline(bad)
+
+
+def test_the_forecaster_beats_persistence_on_a_toggling_plant(tmp_path):
+    """On a plant whose valves and pumps keep toggling, the forecaster's
+    held-out MAE (0.0204 when measured; last-value persistence 0.2297, the
+    training mean 0.4055) stays within a quarter of persistence's. Do not
+    loosen the bound: it is what shows the forecaster learns the dynamics."""
+    (tmp_path / "plant.ini").write_text(TOGGLING_PLANT_INI)
+    plant, _ = load_plant_config(tmp_path / "plant.ini")
+    train = simulate_normal(plant, 2000)
+    held_out = simulate_normal(replace(plant, seed=22), 1000)
+    budget = TrainConfig(epochs=40, batch_size=64, early_stop_patience=10)
+    fitted = fit_pipeline(train, PipelineSettings(dropout=0.0, learning_rate=0.001), budget, seed=0)
+    predictions, batch = predict_series(fitted.model, apply_minmax(fitted.scaler, held_out))
+    mae = np.mean(np.abs(predictions - batch.targets))
+    persistence = np.mean(np.abs(batch.inputs[:, -1, :] - batch.targets))
+    assert mae <= 0.25 * persistence, (mae, persistence)

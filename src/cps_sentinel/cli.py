@@ -29,7 +29,7 @@ from .dataio import (
 )
 from .detectors import VERDICT_HEADER, NonConvergence, read_verdicts, verdict_csv
 from .errorspace import embed, embedding_csv, error_series_csv, read_error_series
-from .forecaster import TrainConfig, TrainHistory
+from .forecaster import ShapeError, TrainConfig, TrainHistory
 from .gaopt import (
     GaConfig,
     evolution_log_text,
@@ -39,7 +39,7 @@ from .gaopt import (
     make_evaluator,
 )
 from .metrics import report_text, score
-from .pipeline import PipelineSettings, detect_frame, fit_pipeline
+from .pipeline import PipelineSettings, detect_frame, fit_pipeline, forecaster_size
 
 PROG = "cps-sentinel"
 
@@ -114,6 +114,10 @@ def _run_config(path: str, required_paths) -> SimpleNamespace:
                            **{name: forecaster.pop(name) for name in _FORECASTER_GENES})
         budget = TrainConfig(early_stop_patience=forecaster.pop("patience"), **forecaster)
         ga_config = GaConfig(**ga)
+    try:  # With every gene in range, only the window can fail to fit the stack.
+        forecaster_size(settings, 1)
+    except ShapeError as exc:
+        raise ValueError(f"[forecaster] window: {exc}") from None
     # Evolution runs on a reduced epoch budget; the winner retrains in full.
     with dataio.naming_keys({"epochs": "[ga] budget_epochs"}):
         ga_budget = replace(budget, epochs=ga_epochs,
@@ -195,14 +199,12 @@ def _read_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
 def _cmd_evaluate(args) -> int:
     verdicts = read_verdicts(args.verdicts)
     label_indices, label_flags = _read_labels(args.labels)
-    # The last label of an index counts, looked up as in `align_to_series`.
-    order = np.argsort(label_indices, kind="stable")
-    pos = np.searchsorted(label_indices[order], verdicts.indices, side="right") - 1
-    found = pos >= 0
-    found[found] = label_indices[order[pos[found]]] == verdicts.indices[found]
-    if not found.all():
-        raise ValueError(f"labels file has no entry for index {verdicts.indices[~found][0]}")
-    counts, report = score(verdicts, label_flags[order[pos]])
+    lookup = {int(ix): bool(fl) for ix, fl in zip(label_indices, label_flags)}
+    try:
+        truth = np.asarray([lookup[int(ix)] for ix in verdicts.indices], dtype=bool)
+    except KeyError as exc:
+        raise ValueError(f"labels file has no entry for index {exc.args[0]}") from None
+    counts, report = score(verdicts, truth)
     sys.stdout.write(report_text(counts, report))
     return 0
 

@@ -335,19 +335,17 @@ def align_to_series(verdicts: VerdictSeries, series: ErrorSeries) -> VerdictSeri
     """Expand embedding verdicts to the full error series.
 
     Timesteps without an embedding point (the first lag steps) inherit the
-    verdict normal with score 0; of two verdicts for one timestep, the last
-    counts.
+    verdict normal with score 0.
     """
-    # A stable sort keeps duplicates in order, so the rightmost match is the last.
-    order = np.argsort(verdicts.indices, kind="stable")
-    keys = verdicts.indices[order]
-    pos = np.searchsorted(keys, series.target_indices, side="right") - 1
-    hit = pos >= 0
-    hit[hit] = keys[pos[hit]] == series.target_indices[hit]
-    j = order[pos[hit]]
-    flags = np.zeros(len(series), dtype=bool)
-    scores = np.zeros(len(series))
-    flags[hit], scores[hit] = verdicts.flags[j], verdicts.scores[j]
+    index_map = {int(ix): i for i, ix in enumerate(verdicts.indices)}
+    n = len(series)
+    flags = np.zeros(n, dtype=bool)
+    scores = np.zeros(n)
+    for i, ix in enumerate(series.target_indices):
+        j = index_map.get(int(ix))
+        if j is not None:
+            flags[i] = verdicts.flags[j]
+            scores[i] = verdicts.scores[j]
     return VerdictSeries(indices=series.target_indices, flags=flags, scores=scores)
 
 

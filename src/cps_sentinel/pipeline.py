@@ -75,10 +75,16 @@ class PipelineSettings:
                 raise FieldError(f"{f.name} must be finite, not {getattr(self, f.name)!r}", f.name)
         if self.detector not in DETECTOR_KINDS:
             raise FieldError(f"unknown detector {self.detector!r}", "detector")
-        if self.window < 1:
-            raise FieldError("window must be positive", "window")
+        for name in ("window", "conv1", "conv2", "kernel", "dense1", "dense2", "learning_rate",
+                     "beta", "gamma", "augment_fraction"):
+            if getattr(self, name) <= 0:
+                raise FieldError(f"{name} must be positive", name)
         if self.lag < 0:
             raise FieldError("lag must be non-negative", "lag")
+        if not 0.0 <= self.dropout < 1.0:
+            raise FieldError("dropout must lie in [0, 1)", "dropout")
+        if not 0.0 < self.nu <= 1.0:
+            raise FieldError("nu must lie in (0, 1]", "nu")
 
     def key(self) -> str:
         """Canonical `gene=value;...` string of every field but

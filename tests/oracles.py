@@ -9,14 +9,12 @@ its loss gradient and `Rng.shuffle` are checked against their former
 implementations: an im2col copied out of `np.pad` and `sliding_window_view`,
 a scatter into a padded buffer, `np.stack` of the pool halves, a backward
 pass that forms every layer's input gradient, and a Fisher-Yates loop that
-calls `randint` per element. The index joins of `align_to_series` and of
-`evaluate`'s label lookup are checked against per-row dict lookups.
+calls `randint` per element.
 """
 
 import numpy as np
 
 from cps_sentinel.dataio import TimeSeriesFrame
-from cps_sentinel.detectors import VerdictSeries
 from cps_sentinel.forecaster.layers import Conv1DLayer, MaxPool1DLayer
 from cps_sentinel.plantsim import CHANNELS_PER_STAGE, HIGH_MARK, LOW_MARK, START_LEVEL
 from cps_sentinel.rng import Rng
@@ -188,28 +186,3 @@ def fisher_yates(rng: Rng, items) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = rng.randint(i + 1)
         items[i], items[j] = items[j], items[i]
-
-
-def align_to_series(verdicts, series):
-    """`detectors.align_to_series` as a dict join: the last verdict of an
-    index wins, and a step with none gets flag 0 and score 0.0."""
-    index_map = {int(ix): i for i, ix in enumerate(verdicts.indices)}
-    n = len(series)
-    flags = np.zeros(n, dtype=bool)
-    scores = np.zeros(n)
-    for i, ix in enumerate(series.target_indices):
-        j = index_map.get(int(ix))
-        if j is not None:
-            flags[i] = verdicts.flags[j]
-            scores[i] = verdicts.scores[j]
-    return VerdictSeries(indices=series.target_indices, flags=flags, scores=scores)
-
-
-def label_truth(label_indices, label_flags, verdict_indices):
-    """`evaluate`'s label of each verdict index as a dict lookup: the last
-    label of an index wins, and the first index without one raises."""
-    lookup = {int(ix): bool(fl) for ix, fl in zip(label_indices, label_flags)}
-    try:
-        return np.asarray([lookup[int(ix)] for ix in verdict_indices], dtype=bool)
-    except KeyError as exc:
-        raise ValueError(f"labels file has no entry for index {exc.args[0]}") from None

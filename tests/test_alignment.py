@@ -3,34 +3,18 @@
 For any start timestamp, window `w` and `lag`, the indices that
 `make_windows`, `compute_errors`, `embed`, `align_to_series` and
 `frame.labels_at` hand on agree step for step, and each value sits at the
-timestep its index names. The sorted-index joins of `align_to_series` and of
-`evaluate`'s label lookup give what per-row dict joins give, on unsorted,
-duplicated, missing and empty index sets.
+timestep its index names.
 """
-
-import contextlib
-import io
-import tempfile
-from pathlib import Path
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cps_sentinel.cli import main
 from cps_sentinel.dataio import make_windows
-from cps_sentinel.detectors import (
-    KmeansModel,
-    VerdictSeries,
-    align_to_series,
-    kmeans_detect,
-    verdict_csv,
-)
-from cps_sentinel.errorspace import ErrorSeries, compute_errors, embed
-from cps_sentinel.metrics import report_text, score
+from cps_sentinel.detectors import KmeansModel, align_to_series, kmeans_detect
+from cps_sentinel.errorspace import compute_errors, embed
 from cps_sentinel.rng import Rng
 
-import oracles
 from conftest import SETTINGS, make_frame
 
 INT64_MAX = 2**63 - 1
@@ -93,50 +77,3 @@ def test_indices_agree_from_windows_to_labels(case):
     labels = frame.labels_at(aligned.indices)
     np.testing.assert_array_equal(labels, frame.labels[w:])
     np.testing.assert_array_equal(aligned.indices - start, np.arange(w, len(frame)))
-
-
-# Unsorted index lists with repeats, gaps and both int64 extremes.
-INDEX_LISTS = st.lists(
-    st.one_of(st.integers(min_value=-4, max_value=12), st.sampled_from([-(2**63), INT64_MAX])),
-    max_size=24,
-)
-
-
-def random_verdicts(indices, seed):
-    draw = np.random.default_rng(seed)
-    n = len(indices)
-    return VerdictSeries(indices=indices, flags=draw.uniform(size=n) < 0.5,
-                         scores=draw.standard_normal(n))
-
-
-@SETTINGS
-@given(INDEX_LISTS, INDEX_LISTS.filter(len), st.integers(min_value=0, max_value=2**32 - 1))
-def test_align_to_series_matches_the_dict_join(verdict_indices, series_indices, seed):
-    verdicts = random_verdicts(verdict_indices, seed)
-    series = ErrorSeries(errors=np.zeros(len(series_indices)), target_indices=series_indices,
-                         delta=0.0, sigma=0.0)
-    got = align_to_series(verdicts, series)
-    want = oracles.align_to_series(verdicts, series)
-    np.testing.assert_array_equal(got.indices, want.indices)
-    np.testing.assert_array_equal(got.flags, want.flags)
-    assert got.scores.tobytes() == want.scores.tobytes()
-
-
-@SETTINGS
-@given(INDEX_LISTS, INDEX_LISTS, st.integers(min_value=0, max_value=2**32 - 1))
-def test_evaluate_looks_labels_up_as_the_dict_join_does(verdict_indices, label_indices, seed):
-    verdicts = random_verdicts(verdict_indices, seed)
-    labels = random_verdicts(label_indices, seed + 1)
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as d:
-        paths = [Path(d) / "verdicts.csv", Path(d) / "labels.csv"]
-        for path, series in zip(paths, (verdicts, labels)):
-            path.write_text(verdict_csv(series))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["evaluate", "--verdicts", str(paths[0]), "--labels", str(paths[1])])
-    try:
-        truth = oracles.label_truth(labels.indices, labels.flags, verdicts.indices)
-    except ValueError as exc:
-        assert (code, err.getvalue()) == (2, f"cps-sentinel: {exc}\n")
-    else:
-        assert (code, out.getvalue()) == (0, report_text(*score(verdicts, truth)))

@@ -186,6 +186,23 @@ MALFORMED_CONFIGS = {
     "mutation rate past 1": (
         "optimize", "[ga]\nmutation_rate = 2\n", "[ga] mutation_rate: rates must lie in [0, 1]"
     ),
+    # A gene that only the forecaster, the training or a detector fit would check.
+    "zero learning rate": (
+        "train", "[forecaster]\nlearning_rate = 0\n",
+        "[forecaster] learning_rate: learning_rate must be positive",
+    ),
+    "dropout of 1": (
+        "train", "[forecaster]\ndropout = 1.0\n", "[forecaster] dropout: dropout must lie in [0, 1)"
+    ),
+    "zero conv1 filters": (
+        "train", "[forecaster]\nconv1 = 0\n", "[forecaster] conv1: conv1 must be positive"
+    ),
+    "window the pools cannot halve": (
+        "train", "[forecaster]\nwindow = 10\n",
+        "[forecaster] window: layer 3 (MaxPool1DSpec): pool 2 does not divide length 5",
+    ),
+    "zero beta": ("train", "[detector]\nbeta = 0\n", "[detector] beta: beta must be positive"),
+    "zero nu": ("optimize", "[detector]\nnu = 0\n", "[detector] nu: nu must lie in (0, 1]"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from cps_sentinel.artifact import _decode, _encode, load_pipeline, save_pipeline
 from cps_sentinel.detectors import KMEANS, OCSVM, THRESHOLD, KmeansModel, OcsvmModel
-from cps_sentinel.dataio import apply_minmax
+from cps_sentinel.dataio import FieldError, apply_minmax
 from cps_sentinel.forecaster import Conv1DSpec, DenseSpec, TrainConfig, predict_series
 from cps_sentinel.pipeline import (
     PipelineSettings,
@@ -40,6 +40,11 @@ def test_settings_validation():
         PipelineSettings(window=0)
     with pytest.raises(ValueError, match="lag"):
         PipelineSettings(lag=-1)
+    for field, value in (("learning_rate", 0.0), ("conv2", 0), ("dense1", -1), ("gamma", 0.0),
+                         ("augment_fraction", 0.0), ("dropout", 1.0), ("nu", 1.5)):
+        with pytest.raises(FieldError, match=field) as raised:
+            PipelineSettings(**{field: value})
+        assert raised.value.fields == (field,)
 
 
 def test_fit_pipeline_rejects_attack_rows():

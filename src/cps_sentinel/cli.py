@@ -293,14 +293,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (
-        DataFormatError,
-        NonConvergence,
-        FloatingPointError,
-        ValueError,
-        OSError,
-        MemoryError,
-    ) as exc:
+    # DataFormatError and every "[section] key" error are ValueErrors.
+    except (NonConvergence, FloatingPointError, ValueError, OSError, MemoryError) as exc:
         # A MemoryError may carry no message; its name is then the line.
         print(f"{PROG}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

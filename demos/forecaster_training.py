@@ -34,10 +34,10 @@ def main():
     print(f"{len(frame)} steps -> {len(windows)} windows of {WINDOW} x "
           f"{frame.schema.channel_count} channels")
 
-    specs = default_stack(frame.schema.channel_count, dropout=0.0)
-    model = build_model(WINDOW, frame.schema.channel_count, specs, seed=0)
+    stack = default_stack(frame.schema.channel_count, dropout=0.0)
+    model = build_model(WINDOW, frame.schema.channel_count, stack, seed=0)
     print(f"model: {sum(p.size for p in model.params)} parameters, "
-          f"{len(specs)} layers")
+          f"{len(model.layers)} layers")
 
     config = TrainConfig(
         epochs=60,

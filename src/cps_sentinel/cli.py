@@ -23,6 +23,7 @@ from .dataio import (
     TIMESTAMP_COLUMN,
     ChannelSchema,
     DataFormatError,
+    FieldError,
     csv_text,
     load_csv,
     read_header,
@@ -114,6 +115,8 @@ def _run_config(path: str, required_paths) -> SimpleNamespace:
                            **{name: forecaster.pop(name) for name in _FORECASTER_GENES})
         budget = TrainConfig(early_stop_patience=forecaster.pop("patience"), **forecaster)
         ga_config = GaConfig(**ga)
+        if threads is not None and threads < 0:
+            raise FieldError("threads must be non-negative", "threads")
     try:  # With every gene in range, only the window can fail to fit the stack.
         forecaster_size(settings, 1)
     except ShapeError as exc:
@@ -139,11 +142,15 @@ def _cmd_simulate(args) -> int:
     defaults = {"normal_steps": 5000, "test_steps": 1000, "test_seed": plant.seed + 1}
     steps = dataio.read_section(dataio.read_config(args.config), "simulate", defaults)
 
-    os.makedirs(args.out, exist_ok=True)
-    normal = plantsim.simulate_normal(plant, steps["normal_steps"])
-    dataio.save_csv(normal, os.path.join(args.out, "normal.csv"))
-    test = plantsim.simulate_normal(replace(plant, seed=steps["test_seed"]), steps["test_steps"])
+    # Both frames are built before either file is written, so a failure
+    # leaves no partial output.
+    with dataio.naming_keys({"duration": "[simulate] normal_steps"}):
+        normal = plantsim.simulate_normal(plant, steps["normal_steps"])
+    with dataio.naming_keys({"duration": "[simulate] test_steps"}):
+        test = plantsim.simulate_normal(replace(plant, seed=steps["test_seed"]), steps["test_steps"])
     test = plantsim.inject_attacks(test, attacks)
+    os.makedirs(args.out, exist_ok=True)
+    dataio.save_csv(normal, os.path.join(args.out, "normal.csv"))
     dataio.save_csv(test, os.path.join(args.out, "test.csv"))
     print(
         f"wrote normal.csv ({len(normal)} rows) and test.csv "

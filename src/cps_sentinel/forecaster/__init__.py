@@ -1,20 +1,12 @@
 """Windowed 1-D CNN next-step forecaster built on plain numpy."""
 
-from .layers import (
-    RELU,
-    SIGMOID,
-    TANH,
-    Conv1DSpec,
-    DenseSpec,
-    FlattenSpec,
-    MaxPool1DSpec,
-    ShapeError,
-    glorot_uniform,
-)
+from .layers import SIGMOID, TANH, glorot_uniform
 from .model import (
     ADAM_EPS,
     CnnModel,
     EarlyStopper,
+    ForecasterStack,
+    ShapeError,
     TrainConfig,
     TrainHistory,
     adam_step,
@@ -27,17 +19,13 @@ from .model import (
 
 __all__ = [
     "ADAM_EPS",
-    "RELU",
     "SIGMOID",
     "TANH",
-    "Conv1DSpec",
-    "DenseSpec",
-    "FlattenSpec",
-    "MaxPool1DSpec",
     "ShapeError",
     "glorot_uniform",
     "CnnModel",
     "EarlyStopper",
+    "ForecasterStack",
     "TrainConfig",
     "TrainHistory",
     "adam_step",

@@ -1,4 +1,4 @@
-"""Layer specs and batched forward/backward passes for the 1-D conv forecaster.
+"""Batched forward/backward passes for the layers of the 1-D conv forecaster.
 
 All arrays are float64.  Sequence tensors are (batch, length, channels);
 flattened tensors are (batch, features).  Forward passes are functional:
@@ -9,65 +9,20 @@ layer below it to take its input gradient, so `backward(..., input_grad=False)`
 skips that product and returns None in its place.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..rng import Rng
 
-RELU, TANH, SIGMOID = "relu", "tanh", "sigmoid"
-ACTIVATIONS = (RELU, TANH, SIGMOID)
-
-
-@dataclass(frozen=True)
-class Conv1DSpec:
-    """Same-padding, stride-1 convolution with ReLU."""
-
-    filters: int
-    kernel_size: int = 3
-
-    def __post_init__(self):
-        if self.filters < 1 or self.kernel_size < 1:
-            raise ValueError("filters and kernel_size must be positive")
-
-
-@dataclass(frozen=True)
-class MaxPool1DSpec:
-    """Non-overlapping max-pool over pairs: it halves the length."""
-
-
-@dataclass(frozen=True)
-class FlattenSpec:
-    pass
-
-
-@dataclass(frozen=True)
-class DenseSpec:
-    units: int
-    activation: str = TANH
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        if self.units < 1:
-            raise ValueError("units must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+TANH, SIGMOID = "tanh", "sigmoid"
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == RELU:
-        return np.maximum(z, 0.0)
     if name == TANH:
         return np.tanh(z)
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # subgradient at relu kink taken as 0
-    if name == RELU:
-        return (z > 0.0).astype(np.float64)
+def _activate_grad(name: str, a: np.ndarray) -> np.ndarray:
     if name == TANH:
         return 1.0 - a * a
     return a * (1.0 - a)
@@ -79,15 +34,12 @@ def glorot_uniform(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) 
     return (2.0 * u - 1.0) * limit
 
 
-class ShapeError(ValueError):
-    """Layer stack does not compose for the given input shape."""
-
-
 class Conv1DLayer:
-    def __init__(self, spec: Conv1DSpec, in_ch: int, rng: Rng):
-        k, f = spec.kernel_size, spec.filters
-        self.spec = spec
-        self.in_ch = in_ch
+    """Same-padding, stride-1 convolution with ReLU."""
+
+    def __init__(self, in_ch: int, filters: int, kernel_size: int, rng: Rng):
+        k, f = kernel_size, filters
+        self.in_ch, self.filters, self.kernel_size = in_ch, filters, kernel_size
         self.weights = glorot_uniform(rng, (k, in_ch, f), fan_in=k * in_ch, fan_out=k * f)
         self.bias = np.zeros(f)
 
@@ -100,7 +52,7 @@ class Conv1DLayer:
         zero-copy, overlapping, read-only view: row t is the k taps t..t+k-1
         of the padded sequence, which lie next to each other in memory, so
         consecutive rows overlap by (k-1)*C values."""
-        k = self.spec.kernel_size
+        k = self.kernel_size
         b, length, ch = x.shape
         pad_left = (k - 1) // 2
         xp = np.zeros((b, length + k - 1, ch))
@@ -110,15 +62,15 @@ class Conv1DLayer:
         )
 
     def forward(self, x, training=False, rng=None):
-        k, f = self.spec.kernel_size, self.spec.filters
+        k, f = self.kernel_size, self.filters
         cols = self._im2col(x)
         z = cols @ self.weights.reshape(k * self.in_ch, f) + self.bias
-        y = _activate(RELU, z)
+        y = np.maximum(z, 0.0)
         return y, (cols, z, y)
 
     def backward(self, dy, cache, input_grad=True):
         cols, z, y = cache
-        k, f = self.spec.kernel_size, self.spec.filters
+        k, f = self.kernel_size, self.filters
         # The ReLU subgradient as a bool mask, which multiplies as 1.0 or 0.0.
         dz = dy * (z > 0.0)
         flat_cols = cols.reshape(-1, k * self.in_ch)
@@ -144,10 +96,10 @@ class Conv1DLayer:
 
 
 class MaxPool1DLayer:
-    def __init__(self, spec: MaxPool1DSpec, in_len: int, in_ch: int):
-        if in_len % 2 != 0:
-            raise ShapeError(f"pool size 2 does not divide input length {in_len}")
-        self.spec = spec
+    """Non-overlapping max-pool over pairs of an even-length input: it halves
+    the length."""
+
+    def __init__(self, in_len: int, in_ch: int):
         self.in_len, self.in_ch = in_len, in_ch
 
     @property
@@ -173,8 +125,7 @@ class MaxPool1DLayer:
 
 
 class FlattenLayer:
-    def __init__(self, spec: FlattenSpec, in_len: int, in_ch: int):
-        self.spec = spec
+    def __init__(self, in_len: int, in_ch: int):
         self.in_len, self.in_ch = in_len, in_ch
 
     @property
@@ -191,12 +142,13 @@ class FlattenLayer:
 
 
 class DenseLayer:
-    def __init__(self, spec: DenseSpec, in_features: int, rng: Rng):
-        self.spec = spec
-        self.weights = glorot_uniform(
-            rng, (in_features, spec.units), fan_in=in_features, fan_out=spec.units
-        )
-        self.bias = np.zeros(spec.units)
+    """Fully connected layer with a tanh or sigmoid activation and inverted
+    dropout on its output in training."""
+
+    def __init__(self, in_features: int, units: int, activation: str, dropout: float, rng: Rng):
+        self.activation, self.dropout = activation, dropout
+        self.weights = glorot_uniform(rng, (in_features, units), fan_in=in_features, fan_out=units)
+        self.bias = np.zeros(units)
 
     @property
     def params(self):
@@ -204,22 +156,22 @@ class DenseLayer:
 
     def forward(self, x, training=False, rng=None):
         z = x @ self.weights + self.bias
-        a = _activate(self.spec.activation, z)
+        a = _activate(self.activation, z)
         mask = None
-        rate = self.spec.dropout
+        rate = self.dropout
         if training and rate > 0.0:
             u = rng.uniform_array(a.size).reshape(a.shape)
             mask = (u >= rate).astype(np.float64) / (1.0 - rate)
             out = a * mask
         else:
             out = a
-        return out, (x, z, a, mask)
+        return out, (x, a, mask)
 
     def backward(self, dy, cache, input_grad=True):
-        x, z, a, mask = cache
+        x, a, mask = cache
         if mask is not None:
             dy = dy * mask
-        dz = dy * _activate_grad(self.spec.activation, z, a)
+        dz = dy * _activate_grad(self.activation, a)
         dw = x.T @ dz
         db = dz.sum(axis=0)
         dx = dz @ self.weights.T if input_grad else None

@@ -7,19 +7,7 @@ import numpy as np
 
 from ..dataio import FieldError, TimeSeriesFrame, WindowBatch, make_windows
 from ..rng import Rng, derive_seed
-from .layers import (
-    SIGMOID,
-    TANH,
-    Conv1DLayer,
-    Conv1DSpec,
-    DenseLayer,
-    DenseSpec,
-    FlattenLayer,
-    FlattenSpec,
-    MaxPool1DLayer,
-    MaxPool1DSpec,
-    ShapeError,
-)
+from .layers import SIGMOID, TANH, Conv1DLayer, DenseLayer, FlattenLayer, MaxPool1DLayer
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -84,24 +72,41 @@ class EarlyStopper:
         return self._stale >= self.patience
 
 
+class ShapeError(ValueError):
+    """The input shape does not fit the forecaster stack."""
+
+
+@dataclass(frozen=True)
+class ForecasterStack:
+    """Sizes of the forecaster's one layout: conv-pool-conv-pool-flatten, two
+    tanh Dense layers, and a sigmoid Dense output of `channels` units. Every
+    Dense layer, the output included, drops units at rate `dropout` in
+    training."""
+
+    channels: int
+    conv_filters: tuple[int, int]
+    kernel_size: int
+    dense_units: tuple[int, int]
+    dropout: float
+
+    def __post_init__(self):
+        if len(self.conv_filters) != 2 or len(self.dense_units) != 2:
+            raise ValueError("conv_filters and dense_units take two sizes each")
+        if min(self.channels, *self.conv_filters, self.kernel_size, *self.dense_units) < 1:
+            raise ValueError("layer sizes must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must lie in [0, 1)")
+
+
 def default_stack(
     channels: int,
     conv_filters: tuple[int, int] = (32, 64),
     kernel_size: int = 3,
     dense_units: tuple[int, int] = (64, 32),
     dropout: float = 0.2,
-) -> list:
-    """The reference conv-pool-conv-pool-flatten-dense stack, C-generic."""
-    return [
-        Conv1DSpec(filters=conv_filters[0], kernel_size=kernel_size),
-        MaxPool1DSpec(),
-        Conv1DSpec(filters=conv_filters[1], kernel_size=kernel_size),
-        MaxPool1DSpec(),
-        FlattenSpec(),
-        DenseSpec(units=dense_units[0], activation=TANH, dropout=dropout),
-        DenseSpec(units=dense_units[1], activation=TANH, dropout=dropout),
-        DenseSpec(units=channels, activation=SIGMOID, dropout=dropout),
-    ]
+) -> ForecasterStack:
+    """The reference stack for `channels` channels."""
+    return ForecasterStack(channels, tuple(conv_filters), kernel_size, tuple(dense_units), dropout)
 
 
 class CnnModel:
@@ -185,69 +190,42 @@ class CnnModel:
         return [p.copy() for p in self.params]
 
 
-def _shape_walk(w: int, channels: int, specs: list) -> list[tuple]:
-    """(spec, input shape, parameter count) for each layer of the stack on a
-    (w, channels) window, raising ShapeError where the stack does not
-    compose. Building a model and sizing its parameters share this walk, so
-    a size is known before anything is allocated."""
+def _check_input(w: int, channels: int, stack: ForecasterStack) -> None:
     if w < 1 or channels < 1:
         raise ShapeError("input shape must be positive")
-    walk = []
-    shape: tuple = (w, channels)
-    for i, spec in enumerate(specs):
-        where = f"layer {i} ({type(spec).__name__})"
-        if isinstance(spec, DenseSpec):
-            if len(shape) != 1:
-                raise ShapeError(f"{where}: expects flattened input, got {shape}")
-            out, size = (spec.units,), (shape[0] + 1) * spec.units
-        elif isinstance(spec, (Conv1DSpec, MaxPool1DSpec, FlattenSpec)):
-            if len(shape) != 2:
-                raise ShapeError(f"{where}: expects sequence input, got {shape}")
-            length, ch = shape
-            if isinstance(spec, Conv1DSpec):
-                out, size = (length, spec.filters), (spec.kernel_size * ch + 1) * spec.filters
-            elif isinstance(spec, MaxPool1DSpec):
-                if length % 2 != 0:
-                    raise ShapeError(f"{where}: pool 2 does not divide length {length}")
-                out, size = (length // 2, ch), 0
-            else:
-                out, size = (length * ch,), 0
-        else:
-            raise ShapeError(f"{where}: unknown layer spec")
-        walk.append((spec, shape, size))
-        shape = out
-    if len(shape) != 1 or shape[0] != channels:
-        raise ShapeError(
-            f"final layer must emit {channels} units, stack emits {shape}"
-        )
-    last = specs[-1] if specs else None
-    if not isinstance(last, DenseSpec) or last.activation != SIGMOID:
-        raise ShapeError("final layer must be Dense with sigmoid activation")
-    return walk
+    if stack.channels != channels:
+        raise ShapeError(f"stack emits {stack.channels} channels, input has {channels}")
+    if w % 4 != 0:
+        raise ShapeError(f"the two pools of 2 need a window divisible by 4, not {w}")
 
 
-def parameter_count(w: int, channels: int, specs: list) -> int:
+def parameter_count(w: int, channels: int, stack: ForecasterStack) -> int:
     """Length of the flat parameter vector `build_model` would allocate."""
-    return sum(size for _, _, size in _shape_walk(w, channels, specs))
+    _check_input(w, channels, stack)
+    (f1, f2), k, (d1, d2) = stack.conv_filters, stack.kernel_size, stack.dense_units
+    return ((k * channels + 1) * f1 + (k * f1 + 1) * f2 + (w // 4 * f2 + 1) * d1
+            + (d1 + 1) * d2 + (d2 + 1) * channels)
 
 
-def build_model(w: int, channels: int, specs: list, seed: int = 0) -> CnnModel:
-    """Assemble and initialize the stack, validating shape composition.
+def build_model(w: int, channels: int, stack: ForecasterStack, seed: int = 0) -> CnnModel:
+    """Assemble and initialize the stack on (w, channels) windows.
 
-    Conv weights: Glorot-uniform in +-sqrt(6/(fan_in+fan_out)); biases zero.
+    Weights: Glorot-uniform in +-sqrt(6/(fan_in+fan_out)), drawn layer by
+    layer from one generator; biases zero.
     """
-    walk = _shape_walk(w, channels, specs)
+    _check_input(w, channels, stack)
     rng = Rng(derive_seed(seed))
-    layers = []
-    for spec, shape, _ in walk:
-        if isinstance(spec, Conv1DSpec):
-            layers.append(Conv1DLayer(spec, shape[1], rng))
-        elif isinstance(spec, MaxPool1DSpec):
-            layers.append(MaxPool1DLayer(spec, shape[0], shape[1]))
-        elif isinstance(spec, FlattenSpec):
-            layers.append(FlattenLayer(spec, shape[0], shape[1]))
-        else:
-            layers.append(DenseLayer(spec, shape[0], rng))
+    (f1, f2), k, (d1, d2) = stack.conv_filters, stack.kernel_size, stack.dense_units
+    layers = [
+        Conv1DLayer(channels, f1, k, rng),
+        MaxPool1DLayer(w, f1),
+        Conv1DLayer(f1, f2, k, rng),
+        MaxPool1DLayer(w // 2, f2),
+        FlattenLayer(w // 4, f2),
+        DenseLayer(w // 4 * f2, d1, TANH, stack.dropout, rng),
+        DenseLayer(d1, d2, TANH, stack.dropout, rng),
+        DenseLayer(d2, channels, SIGMOID, stack.dropout, rng),
+    ]
     return CnnModel(input_shape=(w, channels), layers=layers)
 
 

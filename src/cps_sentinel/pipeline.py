@@ -34,6 +34,7 @@ from .detectors import (
 from .errorspace import ErrorSeries, compute_errors, embed, augment
 from .forecaster import (
     CnnModel,
+    ForecasterStack,
     TrainConfig,
     TrainHistory,
     build_model,
@@ -112,7 +113,7 @@ class FittedPipeline:
     history: TrainHistory | None = None
 
 
-def _forecaster_stack(settings: PipelineSettings, channels: int) -> list:
+def _forecaster_stack(settings: PipelineSettings, channels: int) -> ForecasterStack:
     return default_stack(
         channels=channels,
         conv_filters=(settings.conv1, settings.conv2),
@@ -129,8 +130,7 @@ def build_forecaster(settings: PipelineSettings, channels: int, seed: int) -> Cn
     it here, and loading an artifact builds it here before filling in the
     stored parameters.
     """
-    specs = _forecaster_stack(settings, channels)
-    return build_model(settings.window, channels, specs, seed=seed)
+    return build_model(settings.window, channels, _forecaster_stack(settings, channels), seed=seed)
 
 
 def forecaster_size(settings: PipelineSettings, channels: int) -> int:

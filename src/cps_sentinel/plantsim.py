@@ -95,16 +95,16 @@ class AttackSpec:
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
-            raise ValueError(f"unknown attack category {self.category!r}")
+            raise FieldError(f"unknown attack category {self.category!r}", "category")
         if self.duration < 1:
-            raise ValueError("attack duration must be >= 1 second")
+            raise FieldError("attack duration must be >= 1 second", "duration")
         if not self.targets:
-            raise ValueError("attack needs at least one target")
+            raise FieldError("attack needs at least one target", "targets")
         for stage, channel in self.targets:
             if channel not in STAGE_CHANNELS:
-                raise ValueError(f"unknown target channel {channel!r}")
+                raise FieldError(f"unknown target channel {channel!r}", "targets")
             if stage < 0:
-                raise ValueError("target stage must be >= 0")
+                raise FieldError("target stage must be >= 0", "targets")
         stages = {s for s, _ in self.targets}
         multi_stage = len(stages) > 1
         per_stage_multi = len(self.targets) > len(stages)
@@ -115,19 +115,22 @@ class AttackSpec:
             MSMP: (True, True),
         }[self.category]
         if (multi_stage, per_stage_multi) != expected:
-            raise ValueError(
-                f"targets {self.targets} do not match category {self.category}"
+            raise FieldError(
+                f"targets {self.targets} do not match category {self.category}",
+                "targets", "category",
             )
         kind = self.manipulation[0]
         if kind not in (FREEZE, OFFSET, FORCE):
-            raise ValueError(f"unknown manipulation {kind!r}")
+            raise FieldError(f"unknown manipulation {kind!r}", "manipulation")
         if kind == OFFSET and len(self.manipulation) != 2:
-            raise ValueError("offset manipulation needs an amount")
+            raise FieldError("offset manipulation needs an amount", "manipulation")
         if kind == FORCE:
             if len(self.manipulation) != 2 or self.manipulation[1] not in (0, 1):
-                raise ValueError("force manipulation needs a 0/1 state")
+                raise FieldError("force manipulation needs a 0/1 state", "manipulation")
             if any(ch not in (VALVE, PUMP) for _, ch in self.targets):
-                raise ValueError("force manipulation targets actuator channels only")
+                raise FieldError(
+                    "force manipulation targets actuator channels only", "manipulation", "targets"
+                )
 
     @property
     def end(self) -> int:
@@ -179,7 +182,7 @@ def simulate_normal(config: PlantConfig, duration: int) -> TimeSeriesFrame:
     reading, since the batch transforms its uniforms with `math`, not numpy.
     """
     if duration < 1:
-        raise ValueError("duration must be >= 1 second")
+        raise FieldError("duration must be >= 1 second", "duration")
     n_stages = config.stage_count
     rates = list(zip(config.capacities, config.inflows, config.outflows))
     state = [(START_LEVEL * cap, 1.0, 1.0) for cap in config.capacities]
@@ -309,5 +312,6 @@ def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
             missing = [key for key, value in block.items() if value is None]
             if missing:
                 raise ValueError(f"[{section}] is missing {missing[0]}")
-            attacks.append(AttackSpec(**block))
+            with naming_keys({key: f"[{section}] {key}" for key in block}):
+                attacks.append(AttackSpec(**block))
     return plant, attacks

@@ -114,7 +114,7 @@ def simulate_normal_steps(config, duration: int):
 
 def conv_im2col(layer, x):
     """(B, L, k*C) im2col of the same-padded input through `np.pad`."""
-    k = layer.spec.kernel_size
+    k = layer.kernel_size
     pad_left = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (pad_left, k - 1 - pad_left), (0, 0)))
     cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
@@ -123,7 +123,7 @@ def conv_im2col(layer, x):
 
 
 def conv_forward(layer, x):
-    k, f = layer.spec.kernel_size, layer.spec.filters
+    k, f = layer.kernel_size, layer.filters
     cols = conv_im2col(layer, x)
     z = cols @ layer.weights.reshape(k * layer.in_ch, f) + layer.bias
     y = np.maximum(z, 0.0)
@@ -133,7 +133,7 @@ def conv_forward(layer, x):
 def conv_backward(layer, dy, cache):
     """Input gradient by a scatter of every tap into a padded buffer."""
     cols, z, y = cache
-    k, f = layer.spec.kernel_size, layer.spec.filters
+    k, f = layer.kernel_size, layer.filters
     dz = dy * (z > 0.0).astype(np.float64)
     flat_cols = cols.reshape(-1, k * layer.in_ch)
     flat_dz = dz.reshape(-1, f)

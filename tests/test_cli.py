@@ -156,6 +156,9 @@ MALFORMED_CONFIGS = {
     "misspelled paths key": ("train", "history = h.csv\n", "[paths] history: unknown key"),
     "misspelled seeds key": ("train", "[seeds]\npipline = 3\n", "[seeds] pipline: unknown key"),
     "word for the thread count": ("optimize", "[ga]\nthreads = all\n", "[ga] threads: invalid"),
+    "negative thread count": (
+        "optimize", "[ga]\nthreads = -1\n", "[ga] threads: threads must be non-negative"
+    ),
     "misspelled simulate key": (
         "simulate", "[simulate]\nnormal_step = 9\n", "[simulate] normal_step: unknown key"
     ),
@@ -199,7 +202,7 @@ MALFORMED_CONFIGS = {
     ),
     "window the pools cannot halve": (
         "train", "[forecaster]\nwindow = 10\n",
-        "[forecaster] window: layer 3 (MaxPool1DSpec): pool 2 does not divide length 5",
+        "[forecaster] window: the two pools of 2 need a window divisible by 4, not 10",
     ),
     "zero beta": ("train", "[detector]\nbeta = 0\n", "[detector] beta: beta must be positive"),
     "zero nu": ("optimize", "[detector]\nnu = 0\n", "[detector] nu: nu must lie in (0, 1]"),
@@ -287,6 +290,23 @@ def test_simulate_rejects_an_attack_without_a_required_key(tmp_path, capsys, key
     cfg.write_text("\n".join(lines) + "\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"cps-sentinel: [attack.1] is missing {key}\n"
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("duration = 30", "duration = 0", "[attack.1] duration: attack duration must be >= 1 second"),
+    ("manipulation = offset:50", "manipulation = force:1",
+     "[attack.1] manipulation, [attack.1] targets: force manipulation targets actuator"),
+    ("normal_steps = 400", "normal_steps = 0", "[simulate] normal_steps: duration must be >= 1"),
+    ("test_steps = 200", "test_steps = 0", "[simulate] test_steps: duration must be >= 1"),
+    ("start = 60", "start = -5", "attack interval [-5, 25) outside frame"),
+])
+def test_simulate_names_the_key_and_writes_nothing(tmp_path, capsys, line, bad, message):
+    cfg = tmp_path / "plant.ini"
+    cfg.write_text(PLANT_INI.replace(line, bad, 1))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cps-sentinel: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, field", [

@@ -5,17 +5,16 @@ from hypothesis import strategies as st
 
 from cps_sentinel.artifact import _decode_model
 from cps_sentinel.forecaster import (
-    Conv1DSpec,
-    DenseSpec,
+    TANH,
     EarlyStopper,
-    FlattenSpec,
-    MaxPool1DSpec,
+    ForecasterStack,
     ShapeError,
     TrainConfig,
     adam_step,
     build_model,
     default_stack,
     glorot_uniform,
+    parameter_count,
     predict_series,
     train,
 )
@@ -32,13 +31,7 @@ from cps_sentinel.rng import Rng
 import oracles
 from conftest import SETTINGS, random_frame
 
-SMALL_STACK = [
-    Conv1DSpec(filters=3, kernel_size=3),
-    MaxPool1DSpec(),
-    FlattenSpec(),
-    DenseSpec(units=4, activation="tanh", dropout=0.0),
-    DenseSpec(units=2, activation="sigmoid", dropout=0.0),
-]
+SMALL_STACK = default_stack(2, conv_filters=(3, 2), dense_units=(4, 3), dropout=0.0)
 
 
 def batch_loss(model, x, y):
@@ -71,19 +64,6 @@ def test_gradients_match_finite_differences():
     finite_difference_check(model, x, y)
 
 
-def test_dense_gradient_with_relu():
-    specs = [
-        FlattenSpec(),
-        DenseSpec(units=6, activation="relu", dropout=0.0),
-        DenseSpec(units=2, activation="sigmoid", dropout=0.0),
-    ]
-    model = build_model(4, 2, specs, seed=11)
-    rng = Rng(5)
-    x = rng.uniform_array(2 * 4 * 2).reshape(2, 4, 2)
-    y = rng.uniform_array(2 * 2).reshape(2, 2)
-    finite_difference_check(model, x, y)
-
-
 def naive_conv_relu(x, weights, bias):
     k, in_ch, f = weights.shape
     pad_left = (k - 1) // 2
@@ -99,7 +79,7 @@ def naive_conv_relu(x, weights, bias):
 
 
 def test_conv_matches_naive_oracle():
-    layer = Conv1DLayer(Conv1DSpec(filters=2, kernel_size=3), in_ch=1, rng=Rng(1))
+    layer = Conv1DLayer(in_ch=1, filters=2, kernel_size=3, rng=Rng(1))
     layer.weights[...] = np.arange(6, dtype=np.float64).reshape(3, 1, 2) - 2.0
     layer.bias[...] = [0.5, -0.5]
     x = np.array([[1.0], [2.0], [-1.0], [3.0]])
@@ -109,7 +89,7 @@ def test_conv_matches_naive_oracle():
 
 def test_conv_hand_example():
     # Identity-ish kernel: center tap 1 on a single channel copies the input.
-    layer = Conv1DLayer(Conv1DSpec(filters=1, kernel_size=3), in_ch=1, rng=Rng(1))
+    layer = Conv1DLayer(in_ch=1, filters=1, kernel_size=3, rng=Rng(1))
     layer.weights[...] = 0.0
     layer.weights[1, 0, 0] = 1.0
     layer.bias[...] = 0.0
@@ -119,17 +99,12 @@ def test_conv_hand_example():
 
 
 def test_maxpool_forward_and_gradient_routing():
-    layer = MaxPool1DLayer(MaxPool1DSpec(), in_len=4, in_ch=1)
+    layer = MaxPool1DLayer(in_len=4, in_ch=1)
     x = np.array([[[1.0], [5.0], [3.0], [2.0]]])
     y, cache = layer.forward(x)
     np.testing.assert_array_equal(y, [[[5.0], [3.0]]])
     dx, _ = layer.backward(np.array([[[10.0], [20.0]]]), cache)
     np.testing.assert_array_equal(dx, [[[0.0], [10.0], [20.0], [0.0]]])
-
-
-def test_maxpool_rejects_indivisible_length():
-    with pytest.raises(ShapeError, match="does not divide"):
-        MaxPool1DLayer(MaxPool1DSpec(), in_len=5, in_ch=1)
 
 
 def reference_maxpool(x, dy, pool):
@@ -152,7 +127,7 @@ def test_maxpool_matches_the_argmax_reference_bit_for_bit(activation):
     """Ties and signed zeros included: the first of two equal inputs wins."""
     values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
     draw = np.random.default_rng(17)
-    layer = MaxPool1DLayer(MaxPool1DSpec(), in_len=8, in_ch=3)
+    layer = MaxPool1DLayer(in_len=8, in_ch=3)
     for _ in range(20):
         z = draw.choice(values, size=(16, 8, 3))
         x = {"relu": np.maximum(z, 0.0), "tanh": np.tanh(z), "none": z}[activation]
@@ -188,7 +163,7 @@ def test_conv_matches_the_padded_oracle_bit_for_bit(b, length, ch, filters, k, s
     """Even k pads unevenly and k > L leaves taps with no overlap: the
     im2col view, the output and every gradient keep the oracle's bytes."""
     draw = np.random.default_rng(seed)
-    layer = Conv1DLayer(Conv1DSpec(filters=filters, kernel_size=k), ch, Rng(seed))
+    layer = Conv1DLayer(ch, filters, k, Rng(seed))
     layer.weights[...] = signed_draw(draw, layer.weights.shape)
     layer.bias[...] = signed_draw(draw, layer.bias.shape)
     x = signed_draw(draw, (b, length, ch))
@@ -216,21 +191,11 @@ def test_conv_matches_the_padded_oracle_bit_for_bit(b, length, ch, filters, k, s
     assert bits(db).tobytes() == bits(want_db).tobytes()
 
 
+# Every forecaster starts with a conv layer, whose input gradient is skipped:
+# one stack with an even kernel and dropout, one with an odd kernel and none.
 ORACLE_STACKS = {
-    "conv first": [
-        Conv1DSpec(filters=3, kernel_size=3),
-        MaxPool1DSpec(),
-        Conv1DSpec(filters=4, kernel_size=2),
-        MaxPool1DSpec(),
-        FlattenSpec(),
-        DenseSpec(units=5, activation="tanh", dropout=0.3),
-        DenseSpec(units=2, activation="sigmoid", dropout=0.0),
-    ],
-    "dense first": [
-        FlattenSpec(),
-        DenseSpec(units=6, activation="relu", dropout=0.0),
-        DenseSpec(units=2, activation="sigmoid", dropout=0.0),
-    ],
+    "conv first": default_stack(2, (3, 4), 2, (5, 3), dropout=0.3),
+    "odd kernel, no dropout": default_stack(2, (4, 3), 3, (6, 4), dropout=0.0),
 }
 
 
@@ -253,7 +218,7 @@ def test_loss_and_grads_match_the_full_backward_oracle(stack, training):
 
 
 def test_flatten_round_trip():
-    layer = FlattenLayer(FlattenSpec(), in_len=3, in_ch=2)
+    layer = FlattenLayer(in_len=3, in_ch=2)
     x = np.arange(12.0).reshape(2, 3, 2)
     y, cache = layer.forward(x)
     assert y.shape == (2, 6)
@@ -277,7 +242,7 @@ def test_zero_parameters_predict_one_half():
 
 
 def test_dropout_scales_kept_units():
-    layer = DenseLayer(DenseSpec(units=8, activation="tanh", dropout=0.5), 2, Rng(0))
+    layer = DenseLayer(2, 8, TANH, 0.5, Rng(0))
     layer.weights[...] = 0.0
     layer.bias[...] = 1.0
     x = np.zeros((1, 2))
@@ -420,13 +385,44 @@ def test_build_model_is_seed_deterministic():
     assert any(not np.array_equal(pa, pc) for pa, pc in zip(a.params, c.params))
 
 
-def test_build_model_reports_offending_layer():
-    with pytest.raises(ShapeError, match=r"layer 0 \(DenseSpec\): expects flattened"):
-        build_model(4, 2, [DenseSpec(units=2, activation="sigmoid")], seed=0)
-    with pytest.raises(ShapeError, match="final layer"):
-        build_model(4, 2, [FlattenSpec(), DenseSpec(units=3, activation="sigmoid")], seed=0)
-    with pytest.raises(ShapeError, match="sigmoid"):
-        build_model(4, 2, [FlattenSpec(), DenseSpec(units=2, activation="tanh")], seed=0)
+def test_build_model_rejects_an_input_the_stack_does_not_fit():
+    with pytest.raises(ShapeError, match="stack emits 3 channels, input has 2"):
+        build_model(4, 2, default_stack(3), seed=0)
+    with pytest.raises(ShapeError, match="input shape must be positive"):
+        build_model(0, 2, default_stack(2), seed=0)
+    with pytest.raises(ShapeError, match="input shape must be positive"):
+        parameter_count(4, 0, default_stack(2))
+
+
+@pytest.mark.parametrize("sizes, message", [
+    (dict(channels=0), "sizes must be positive"),
+    (dict(conv_filters=(3, 0)), "sizes must be positive"),
+    (dict(kernel_size=0), "sizes must be positive"),
+    (dict(dense_units=(0, 2)), "sizes must be positive"),
+    (dict(conv_filters=(3, 4, 5)), "two sizes each"),
+    (dict(dense_units=(4,)), "two sizes each"),
+    (dict(dropout=1.0), "dropout"),
+    (dict(dropout=-0.1), "dropout"),
+])
+def test_forecaster_stack_rejects_a_size_out_of_range(sizes, message):
+    with pytest.raises(ValueError, match=message):
+        default_stack(**{"channels": 2, **sizes})
+
+
+@SETTINGS
+@given(
+    quarter=st.integers(min_value=1, max_value=6),
+    channels=st.integers(min_value=1, max_value=5),
+    conv_filters=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    kernel_size=st.integers(min_value=1, max_value=7),
+    dense_units=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+def test_parameter_count_is_the_size_build_model_allocates(
+    quarter, channels, conv_filters, kernel_size, dense_units
+):
+    stack = ForecasterStack(channels, conv_filters, kernel_size, dense_units, 0.0)
+    w = 4 * quarter
+    assert parameter_count(w, channels, stack) == build_model(w, channels, stack).flat_params.size
 
 
 def test_forward_rejects_wrong_window_shape():
@@ -509,9 +505,7 @@ def test_train_rejects_degenerate_split():
     config = TrainConfig(validation_fraction=0.9, epochs=2, batch_size=2,
                          early_stop_patience=1)
     with pytest.raises(ValueError, match="validation split"):
-        train(build_model(4, 1, [
-            FlattenSpec(), DenseSpec(units=1, activation="sigmoid"),
-        ], seed=0), batch, config)
+        train(build_model(4, 1, default_stack(1, (2, 2), 3, (2, 2)), seed=0), batch, config)
 
 
 def test_predict_series_matches_per_window_forward():
@@ -540,6 +534,14 @@ def test_predict_series_chunking_is_transparent(monkeypatch):
     np.testing.assert_array_equal(whole, chunked)
 
 
+def layout(model):
+    """Each layer's class, sizes and options: every attribute but its arrays."""
+    return [
+        (type(layer), {k: v for k, v in vars(layer).items() if not isinstance(v, np.ndarray)})
+        for layer in model.layers
+    ]
+
+
 def test_save_load_round_trip_bit_exact(tmp_path):
     frame = random_frame(50, 2, seed=30)
     batch = make_windows(frame, 4)
@@ -550,7 +552,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     np.savez(path, **{"model.params": model.flat_params})
     with np.load(path) as data:
         loaded = _decode_model(settings, 2, dict(data))
-    assert [layer.spec for layer in loaded.layers] == [layer.spec for layer in model.layers]
+    assert layout(loaded) == layout(model)
     for a, b in zip(model.params, loaded.params):
         np.testing.assert_array_equal(a, b)
     x = batch.inputs[:5]

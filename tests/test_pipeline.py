@@ -7,7 +7,8 @@ import pytest
 from cps_sentinel.artifact import _decode, _encode, load_pipeline, save_pipeline
 from cps_sentinel.detectors import KMEANS, OCSVM, THRESHOLD, KmeansModel, OcsvmModel
 from cps_sentinel.dataio import FieldError, apply_minmax
-from cps_sentinel.forecaster import Conv1DSpec, DenseSpec, TrainConfig, predict_series
+from cps_sentinel.forecaster import TrainConfig, predict_series
+from cps_sentinel.forecaster.layers import Conv1DLayer, DenseLayer
 from cps_sentinel.pipeline import (
     PipelineSettings,
     detect_frame,
@@ -58,12 +59,12 @@ def test_fit_pipeline_builds_the_stack_from_the_genes():
                               dropout=0.1)
     fitted = fit_pipeline(random_frame(80, 2, seed=43), settings, budget=TINY_BUDGET)
     assert fitted.model.input_shape == (16, 2)
-    specs = [layer.spec for layer in fitted.model.layers]
-    convs = [s for s in specs if isinstance(s, Conv1DSpec)]
-    dense = [s for s in specs if isinstance(s, DenseSpec)]
-    assert [(s.filters, s.kernel_size) for s in convs] == [(4, 5), (6, 5)]
-    assert [s.units for s in dense] == [7, 3, 2]
-    assert [s.dropout for s in dense[:2]] == [0.1, 0.1]
+    layers = fitted.model.layers
+    convs = [layer for layer in layers if isinstance(layer, Conv1DLayer)]
+    dense = [layer for layer in layers if isinstance(layer, DenseLayer)]
+    assert [(layer.filters, layer.kernel_size) for layer in convs] == [(4, 5), (6, 5)]
+    assert [layer.bias.size for layer in dense] == [7, 3, 2]
+    assert [layer.dropout for layer in dense[:2]] == [0.1, 0.1]
 
 
 def test_threshold_pipeline_never_flags_its_training_frame_at_beta_one():

@@ -139,15 +139,12 @@ def _history_text(history: TrainHistory) -> str:
 
 def _cmd_simulate(args) -> int:
     plant, attacks = plantsim.load_plant_config(args.config)
-    defaults = {"normal_steps": 5000, "test_steps": 1000, "test_seed": plant.seed + 1}
-    steps = dataio.read_section(dataio.read_config(args.config), "simulate", defaults)
+    steps = plantsim.read_simulate(dataio.read_config(args.config), plant)
 
     # Both frames are built before either file is written, so a failure
     # leaves no partial output.
-    with dataio.naming_keys({"duration": "[simulate] normal_steps"}):
-        normal = plantsim.simulate_normal(plant, steps["normal_steps"])
-    with dataio.naming_keys({"duration": "[simulate] test_steps"}):
-        test = plantsim.simulate_normal(replace(plant, seed=steps["test_seed"]), steps["test_steps"])
+    normal = plantsim.simulate_normal(plant, steps["normal_steps"])
+    test = plantsim.simulate_normal(replace(plant, seed=steps["test_seed"]), steps["test_steps"])
     test = plantsim.inject_attacks(test, attacks)
     os.makedirs(args.out, exist_ok=True)
     dataio.save_csv(normal, os.path.join(args.out, "normal.csv"))

@@ -4,6 +4,10 @@ and windowing of frames.
 Every CSV table the package writes or reads goes through `csv_text` and
 `read_csv`, and every INI config through `read_config` and `read_section`;
 the modules that own a table or a section define its header or its keys.
+A plain file (printable ASCII without quotes) is parsed in one numpy pass,
+and any other file by `csv.reader`, with the same values and messages; a
+table whose text cells need no quoting is written as joined rows, and any
+other table by `csv.writer`, with the same bytes.
 
 Wire format: `Timestamp` column first (integer seconds, or ISO-8601 which is
 converted to epoch seconds), one decimal column per channel, and an optional
@@ -15,6 +19,7 @@ import configparser
 import contextlib
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -154,13 +159,34 @@ def csv_text(header, columns) -> str:
 
     Each column is a sequence or a 1-D array. Floats are written as their
     repr, the shortest text that reads back to the same bits, and every row
-    ends in a bare newline.
+    ends in a bare newline. The text is what `csv.writer` writes: a table
+    whose cells need no quoting is joined row by row, any other goes
+    through `csv.writer`.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(*(np.asarray(column).tolist() for column in columns)))
-    return buf.getvalue()
+    arrays = [np.asarray(column) for column in columns]
+    cells = list(map(_plain_cells, arrays))
+    if None in cells or (len(cells) == 1 and "" in cells[0]):
+        writer.writerows(zip(*(array.tolist() for array in arrays)))
+        return buf.getvalue()
+    rows = "\n".join(map(",".join, zip(*cells)))
+    return buf.getvalue() + rows + "\n" if rows else buf.getvalue()
+
+
+def _plain_cells(array: np.ndarray) -> list[str] | None:
+    """Each value of `array` as `csv.writer` writes it, the repr of a float
+    and the str of anything else, or None when a cell might be quoted or the
+    array holds neither numbers nor text."""
+    kind, values = array.dtype.kind, array.tolist()
+    if kind == "f":
+        return list(map(repr, values))
+    if kind in "biu":
+        return list(map(str, values))
+    if kind == "U" and set(',"\r\n').isdisjoint("".join(values)):
+        return values
+    return None
 
 
 def _csv_rows(path, data: bytes) -> list[list[str]]:
@@ -233,10 +259,32 @@ def read_header(path) -> list[str]:
         return _csv_rows(path, fh.readline())[0]
 
 
-# Cells of `read_csv`: a column of integers, of floats, or of tokens kept as text.
+def _parse_timestamp(token: str) -> int:
+    """Integer seconds, or an ISO-8601 time (UTC unless it names a zone)."""
+    try:
+        return int(token)
+    except ValueError:
+        dt = datetime.fromisoformat(token.strip())
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return int(dt.timestamp())
+
+
+# Cells of `read_csv`: a column of integers, of floats, of tokens kept as
+# text, or of timestamps.
 INT64 = (int, np.int64)
 FLOAT64 = (float, np.float64)
 TOKEN = (str, str)
+TIMESTAMP = (_parse_timestamp, np.int64)
+
+# The np.loadtxt type of each cell. On printable ASCII, numpy's integer parser
+# accepts a subset of what `int` accepts, and its float parser calls
+# PyOS_string_to_double as `float` does (without `float`'s underscores); on
+# what they accept, both give the parser's value. A timestamp that is not an
+# integer fails the i8 parse.
+_LOADTXT_TYPES = {INT64: "i8", TIMESTAMP: "i8", FLOAT64: "f8", TOKEN: "O"}
+# The bytes of a plain file: newlines and printable ASCII but the quote.
+_PLAIN_BYTES = bytes([ord("\n"), *range(0x20, 0x7F)]).replace(b'"', b"")
 
 
 def read_csv(path, what: str, layouts: dict) -> list[np.ndarray]:
@@ -250,7 +298,11 @@ def read_csv(path, what: str, layouts: dict) -> list[np.ndarray]:
     counting data rows from 1; the header is row 0.
     """
     with open(path, "rb") as fh:
-        header, *body = _csv_rows(path, fh.read())
+        data = fh.read()
+    columns = _read_plain(data, layouts)
+    if columns is not None:
+        return columns
+    header, *body = _csv_rows(path, data)
     cells = layouts.get(tuple(header))
     if cells is None:
         raise DataFormatError(f"{path}: not {what} (header {header!r})")
@@ -277,6 +329,39 @@ def read_csv(path, what: str, layouts: dict) -> list[np.ndarray]:
         raise
 
 
+def _read_plain(data: bytes, layouts: dict) -> list[np.ndarray] | None:
+    """The columns `read_csv` gives for `data`, parsed by one np.loadtxt call,
+    or None unless that is certain to give them.
+
+    It is certain for a file of printable ASCII without quotes (csv.reader
+    then splits each line at its commas and nothing else), with a header in
+    `layouts`, no line past csv's field size limit, a loadtxt type for every
+    cell, and loadtxt succeeding without a warning on one record per line
+    (it would skip a blank line, which csv.reader rejects).
+    """
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    if (len(lines) < 2 or data.translate(None, _PLAIN_BYTES)
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    header, _, body = data.decode("ascii").partition("\n")
+    cells = layouts.get(tuple(header.split(",")))
+    if cells is None or not all(cell in _LOADTXT_TYPES for cell in cells):
+        return None
+    types = np.dtype([(f"f{i}", _LOADTXT_TYPES[cell]) for i, cell in enumerate(cells)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = np.loadtxt(io.StringIO(body), dtype=types, delimiter=",",
+                                 comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(records) != len(lines) - 1:
+        return None
+    return [records[name].astype(dtype) for name, (_, dtype) in zip(types.names, cells)]
+
+
 def reject_rows(path, bad: np.ndarray, column: np.ndarray, reason: str) -> None:
     """DataFormatError naming the first row where `bad` holds and its value."""
     if np.any(bad):
@@ -284,17 +369,6 @@ def reject_rows(path, bad: np.ndarray, column: np.ndarray, reason: str) -> None:
         raise DataFormatError(
             f"{path}: malformed row {row + 1}: {reason} {column[row].item()!r}"
         )
-
-
-def _parse_timestamp(token: str) -> int:
-    """Integer seconds, or an ISO-8601 time (UTC unless it names a zone)."""
-    try:
-        return int(token)
-    except ValueError:
-        dt = datetime.fromisoformat(token.strip())
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
 
 
 def load_csv(path, schema: ChannelSchema) -> TimeSeriesFrame:
@@ -306,7 +380,7 @@ def load_csv(path, schema: ChannelSchema) -> TimeSeriesFrame:
     non-finite reading.
     """
     columns = (TIMESTAMP_COLUMN, *schema.names)
-    cells = [(_parse_timestamp, np.int64)] + [FLOAT64] * schema.channel_count
+    cells = [TIMESTAMP] + [FLOAT64] * schema.channel_count
     timestamps, *values = read_csv(
         path,
         f"a data file with columns {list(columns)} and an optional {LABEL_COLUMN!r}",

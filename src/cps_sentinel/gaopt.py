@@ -78,9 +78,6 @@ def validate_genome(genome: PipelineSettings) -> list[str]:
         value = getattr(genome, name)
         if not spec.contains(value):
             problems.append(f"{name}={value!r} outside its domain")
-    # Two pool layers halve the window twice, so it must divide by 4.
-    if genome.window % 4 != 0:
-        problems.append(f"window={genome.window} not divisible by 4")
     return problems
 
 

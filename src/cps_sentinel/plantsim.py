@@ -136,6 +136,19 @@ class AttackSpec:
     def end(self) -> int:
         return self.start + self.duration
 
+    def check_fits(self, stage_count: int, t0: int, t_end: int) -> None:
+        """FieldError unless the interval lies in [t0, t_end) and every
+        target stage is below `stage_count`."""
+        if self.start < t0 or self.end > t_end:
+            raise FieldError(
+                f"attack interval [{self.start}, {self.end}) outside frame [{t0}, {t_end})", "start"
+            )
+        for stage, _ in self.targets:
+            if stage >= stage_count:
+                raise FieldError(
+                    f"target stage {stage} out of range for {stage_count} stages", "targets"
+                )
+
 
 def channel_index(stage: int, channel: str) -> int:
     return stage * CHANNELS_PER_STAGE + STAGE_CHANNELS.index(channel)
@@ -170,6 +183,11 @@ def _controller(cap: float, inflow: float, outflow: float, state: tuple, steps: 
     return (levels, flows, valves, pumps), (level, valve, pump)
 
 
+def _check_duration(duration: int) -> None:
+    if duration < 1:
+        raise FieldError("duration must be >= 1 second", "duration")
+
+
 def simulate_normal(config: PlantConfig, duration: int) -> TimeSeriesFrame:
     """Deterministic normal-operation trace of `duration` seconds at 1 Hz.
 
@@ -181,8 +199,7 @@ def simulate_normal(config: PlantConfig, duration: int) -> TimeSeriesFrame:
     The bytes equal those of a step loop that draws one `gauss()` per
     reading, since the batch transforms its uniforms with `math`, not numpy.
     """
-    if duration < 1:
-        raise FieldError("duration must be >= 1 second", "duration")
+    _check_duration(duration)
     n_stages = config.stage_count
     rates = list(zip(config.capacities, config.inflows, config.outflows))
     state = [(START_LEVEL * cap, 1.0, 1.0) for cap in config.capacities]
@@ -222,20 +239,14 @@ def inject_attacks(frame: TimeSeriesFrame, specs: list[AttackSpec]) -> TimeSerie
                 f"overlapping attack intervals [{a.start}, {a.end}) and "
                 f"[{b.start}, {b.end})"
             )
-    n_stages = frame.schema.channel_count // CHANNELS_PER_STAGE
+    for spec in specs:
+        spec.check_fits(frame.schema.channel_count // CHANNELS_PER_STAGE, t0, t_end)
 
     values = frame.values.copy()
     labels = frame.labels.copy()
     for spec in specs:
-        if spec.start < t0 or spec.end > t_end:
-            raise ValueError(
-                f"attack interval [{spec.start}, {spec.end}) outside frame "
-                f"[{t0}, {t_end})"
-            )
         rows = slice(spec.start - t0, spec.end - t0)
         for stage, channel in spec.targets:
-            if stage >= n_stages:
-                raise ValueError(f"target stage {stage} out of range")
             col = channel_index(stage, channel)
             kind = spec.manipulation[0]
             if kind == FREEZE:
@@ -290,9 +301,21 @@ _ATTACK_PARSERS = dict(start=int, duration=int, targets=_parse_targets,
                        manipulation=_parse_manipulation)
 
 
+def read_simulate(config, plant: PlantConfig) -> dict:
+    """The [simulate] section of a parsed config: the row counts of the
+    normal and the test trace and the test trace's plant seed."""
+    defaults = {"normal_steps": 5000, "test_steps": 1000, "test_seed": plant.seed + 1}
+    steps = read_section(config, "simulate", defaults)
+    for key in ("normal_steps", "test_steps"):
+        with naming_keys({"duration": f"[simulate] {key}"}):
+            _check_duration(steps[key])
+    return steps
+
+
 def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
     """The [plant] section and every [attack.<name>] section of the INI file
-    at `path`; the README documents their keys."""
+    at `path`; the README documents their keys. Each attack must lie inside
+    the [simulate] test trace and target the plant's stages."""
     config = read_config(path)
     if "plant" not in config:
         raise ValueError("config has no [plant] section")
@@ -305,6 +328,7 @@ def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
             values[key] *= values["stages"]
     with naming_keys({f.name: f"[plant] {key}" for f, key in zip(fields(PlantConfig), values)}):
         plant = PlantConfig(*values.values())
+    test_steps = read_simulate(config, plant)["test_steps"]
     attacks = []
     for section in config.sections():
         if section.startswith(ATTACK_SECTION):
@@ -313,5 +337,7 @@ def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
             if missing:
                 raise ValueError(f"[{section}] is missing {missing[0]}")
             with naming_keys({key: f"[{section}] {key}" for key in block}):
-                attacks.append(AttackSpec(**block))
+                attack = AttackSpec(**block)
+                attack.check_fits(plant.stage_count, 0, test_steps)
+            attacks.append(attack)
     return plant, attacks

@@ -9,12 +9,16 @@ its loss gradient and `Rng.shuffle` are checked against their former
 implementations: an im2col copied out of `np.pad` and `sliding_window_view`,
 a scatter into a padded buffer, `np.stack` of the pool halves, a backward
 pass that forms every layer's input gradient, and a Fisher-Yates loop that
-calls `randint` per element.
+calls `randint` per element. The CSV codec's reference is its `csv.reader`
+and `csv.writer` code, which parses and writes every file.
 """
+
+import csv
+import io
 
 import numpy as np
 
-from cps_sentinel.dataio import TimeSeriesFrame
+from cps_sentinel.dataio import DataFormatError, TimeSeriesFrame
 from cps_sentinel.forecaster.layers import Conv1DLayer, MaxPool1DLayer
 from cps_sentinel.plantsim import CHANNELS_PER_STAGE, HIGH_MARK, LOW_MARK, START_LEVEL
 from cps_sentinel.rng import Rng
@@ -186,3 +190,57 @@ def fisher_yates(rng: Rng, items) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = rng.randint(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+def csv_text(header, columns) -> str:
+    """`dataio.csv_text` through `csv.writer` alone."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(np.asarray(column).tolist() for column in columns)))
+    return buf.getvalue()
+
+
+def _csv_rows(path, data: bytes) -> list[list[str]]:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start)
+        raise DataFormatError(f"{path}: malformed row {row}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: malformed row {reader.line_num - 1}: {exc}") from None
+    if not rows or not rows[0]:
+        raise DataFormatError(f"{path}: missing header row")
+    return rows
+
+
+def read_csv(path, what: str, layouts: dict) -> list[np.ndarray]:
+    """`dataio.read_csv` through `csv.reader` alone, one parser call per field."""
+    with open(path, "rb") as fh:
+        header, *body = _csv_rows(path, fh.read())
+    cells = layouts.get(tuple(header))
+    if cells is None:
+        raise DataFormatError(f"{path}: not {what} (header {header!r})")
+    width = len(cells)
+    for row_no, row in enumerate(body, start=1):
+        if len(row) != width:
+            raise DataFormatError(
+                f"{path}: malformed row {row_no}: {len(row)} fields, expected {width}: {row!r}"
+            )
+    columns = list(zip(*body)) if body else [()] * width
+    try:
+        return [
+            np.asarray(list(map(parse, tokens)), dtype=dtype)
+            for (parse, dtype), tokens in zip(cells, columns)
+        ]
+    except (ValueError, OverflowError):
+        for row_no, row in enumerate(body, start=1):
+            for (parse, dtype), token in zip(cells, row):
+                try:
+                    np.asarray(parse(token), dtype=dtype)
+                except (ValueError, OverflowError) as exc:
+                    raise DataFormatError(f"{path}: malformed row {row_no}: {exc}") from None
+        raise

@@ -298,7 +298,10 @@ def test_simulate_rejects_an_attack_without_a_required_key(tmp_path, capsys, key
      "[attack.1] manipulation, [attack.1] targets: force manipulation targets actuator"),
     ("normal_steps = 400", "normal_steps = 0", "[simulate] normal_steps: duration must be >= 1"),
     ("test_steps = 200", "test_steps = 0", "[simulate] test_steps: duration must be >= 1"),
-    ("start = 60", "start = -5", "attack interval [-5, 25) outside frame"),
+    ("start = 60", "start = -5",
+     "[attack.1] start: attack interval [-5, 25) outside frame [0, 200)"),
+    ("targets = 0:flow", "targets = 1:flow",
+     "[attack.2] targets: target stage 1 out of range for 1 stages"),
 ])
 def test_simulate_names_the_key_and_writes_nothing(tmp_path, capsys, line, bad, message):
     cfg = tmp_path / "plant.ini"
@@ -307,6 +310,16 @@ def test_simulate_names_the_key_and_writes_nothing(tmp_path, capsys, line, bad, 
     err = capsys.readouterr().err
     assert err.startswith(f"cps-sentinel: {message}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_checks_the_attacks_before_simulating(tmp_path, capsys):
+    cfg = tmp_path / "plant.ini"
+    cfg.write_text(PLANT_INI.replace("normal_steps = 400", f"normal_steps = {10**12}")
+                   .replace("start = 140", "start = 190"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("cps-sentinel: [attack.2] start: "
+                   "attack interval [190, 210) outside frame [0, 200)\n")
 
 
 @pytest.mark.parametrize("key, field", [

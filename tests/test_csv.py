@@ -2,22 +2,31 @@
 
 Every table the package writes reads back bit-exactly, and no text, however
 malformed, makes a reader raise anything but DataFormatError or makes the
-CLI exit with anything but 0 or 2 and, on 2, one stderr line.
+CLI exit with anything but 0 or 2 and, on 2, one stderr line. The reader's
+numpy pass and the writer's joined rows give exactly what the `csv.reader`
+and `csv.writer` code in `oracles` gives.
 """
 
 import contextlib
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from cps_sentinel import dataio
-from cps_sentinel.dataio import DataFormatError, load_csv, read_header, save_csv
-from cps_sentinel.detectors import VerdictSeries, read_verdicts, verdict_csv
-from cps_sentinel.errorspace import ErrorSeries, error_series_csv, read_error_series
+from cps_sentinel.dataio import DataFormatError, csv_text, load_csv, read_csv, read_header, save_csv
+from cps_sentinel.detectors import VERDICT_HEADER, VerdictSeries, read_verdicts, verdict_csv
+from cps_sentinel.errorspace import (
+    ERROR_SERIES_HEADER,
+    ErrorSeries,
+    error_series_csv,
+    read_error_series,
+)
 
 from conftest import SETTINGS
 from conftest import make_frame, run_cli
@@ -169,3 +178,190 @@ def test_cli_exits_0_or_2_in_one_line(data):
             assert code in (0, 2), (argv, err)
             if code == 2:
                 assert err.startswith("cps-sentinel: ") and err.count("\n") == 1, err
+
+
+# --- the reader's numpy pass and the writer's joined rows against the oracle --
+
+# read_csv's cells; INT64 above is a strategy.
+INT_CELL, FLOAT_CELL, TOKEN_CELL = dataio.INT64, dataio.FLOAT64, dataio.TOKEN
+TIME_CELL = dataio.TIMESTAMP
+DATA_CELLS = (TIME_CELL, FLOAT_CELL, FLOAT_CELL)
+LAYOUTS = {
+    ("Timestamp", "A", "B"): DATA_CELLS,
+    ("Timestamp", "A", "B", "Normal/Attack"): (*DATA_CELLS, TOKEN_CELL),
+    VERDICT_HEADER: (INT_CELL, TOKEN_CELL, FLOAT_CELL),
+    ERROR_SERIES_HEADER: (INT_CELL, FLOAT_CELL),
+}
+# The fields each cell's writer writes, and fields that parse or fail oddly.
+WRITTEN = {
+    INT_CELL: INT64.map(str),
+    TIME_CELL: INT64.map(str),
+    FLOAT_CELL: st.floats().map(repr),
+    TOKEN_CELL: st.sampled_from(["Normal", "Attack", "0", "1"]),
+}
+ODD = {
+    INT_CELL: st.sampled_from(["+5", " 5", "5 ", "-0", "0005", "9223372036854775808",
+                               "-9223372036854775809", "5.0", "1e3", "0x10", "", "x"]),
+    FLOAT_CELL: st.sampled_from(["-0.0", "5e-324", "1e309", " 1.5", "1.5 ", "nan", "-inf",
+                                 "infinity", "+.5", "1e", ".", "", "0x10",
+                                 "1.7976931348623157e308"]),
+    TOKEN_CELL: st.sampled_from(["Attackers", " 1", "a#b", "", "true", " Attack"]),
+}
+ODD[TIME_CELL] = ODD[INT_CELL]
+
+
+def outcome(read, path):
+    """The columns `read` gives as (dtype, bytes) pairs, or its error's text."""
+    try:
+        return [(column.dtype.str, column.tobytes()) for column in read(path, "a table", LAYOUTS)]
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@st.composite
+def tables(draw, min_rows=0):
+    """A header of LAYOUTS and rows of fields; odd fields in some tables."""
+    header = draw(st.sampled_from(list(LAYOUTS)))
+    cells = LAYOUTS[header]
+    odd = draw(st.booleans())
+    field = {cell: st.one_of(WRITTEN[cell], ODD[cell]) if odd else WRITTEN[cell] for cell in cells}
+    rows = draw(st.lists(st.tuples(*(field[cell] for cell in cells)).map(list),
+                         min_size=min_rows, max_size=12))
+    return [list(header), *rows]
+
+
+def csv_bytes(lines, end="\n", trailing=True) -> bytes:
+    return (end.join(map(",".join, lines)) + (end if trailing else "")).encode("utf-8")
+
+
+def assert_reads_as_the_oracle(data: bytes):
+    with scratch_file(data) as path, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expected = outcome(oracles.read_csv, path)
+        assert outcome(read_csv, path) == expected
+    assert not caught, [str(w.message) for w in caught]
+
+
+@SETTINGS
+@given(tables(), st.booleans())
+def test_plain_files_read_as_the_oracle_reads_them(lines, trailing):
+    assert_reads_as_the_oracle(csv_bytes(lines, trailing=trailing))
+
+
+def _put(lines, draw, token, cells=lambda cell: True):
+    """Set one data field whose cell satisfies `cells` to `token`."""
+    row = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+    header = tuple(lines[0])
+    columns = [i for i, cell in enumerate(LAYOUTS[header]) if cells(cell)]
+    if columns:
+        lines[row][draw(st.sampled_from(columns))] = token
+    return csv_bytes(lines)
+
+
+def _insert_line(lines, draw, line):
+    at = draw(st.integers(min_value=1, max_value=len(lines)))
+    return csv_bytes([*lines[:at], [line], *lines[at:]])
+
+
+def _quote(lines, draw):
+    row = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+    column = draw(st.integers(min_value=0, max_value=len(lines[row]) - 1))
+    lines[row][column] = f'"{lines[row][column]}"'
+    return csv_bytes(lines)
+
+
+def _numeric(cell):
+    return cell in (INT_CELL, TIME_CELL, FLOAT_CELL)
+
+
+def _integer(cell):
+    return cell in (INT_CELL, TIME_CELL)
+
+
+def _token(cell):
+    return cell == TOKEN_CELL
+
+
+# Each input the numpy pass must hand to csv.reader, or must parse as it does.
+FALLBACKS = {
+    "quoted field": _quote,
+    "CRLF": lambda lines, draw: csv_bytes(lines, end="\r\n"),
+    "bare CR": lambda lines, draw: csv_bytes(lines, end="\r"),
+    "NUL": lambda lines, draw: _put(lines, draw, "1\0"),
+    "blank line": lambda lines, draw: _insert_line(lines, draw, ""),
+    "whitespace-only line": lambda lines, draw: _insert_line(lines, draw, " "),
+    "only blank lines": lambda lines, draw: csv_bytes([lines[0], [""], [""]]),
+    "131,073-character field": lambda lines, draw: _put(lines, draw, "0" * 131_073),
+    "BOM": lambda lines, draw: b"\xef\xbb\xbf" + csv_bytes(lines),
+    "ISO timestamp": lambda lines, draw: _put(lines, draw, "2015-12-28T10:00:00",
+                                              lambda cell: cell == TIME_CELL),
+    "1_0": lambda lines, draw: _put(lines, draw, "1_0", _numeric),
+    "Arabic-Indic digits": lambda lines, draw: _put(lines, draw, "١٢", _numeric),
+    "' 1.5'": lambda lines, draw: _put(lines, draw, " 1.5", lambda cell: cell == FLOAT_CELL),
+    "+5": lambda lines, draw: _put(lines, draw, "+5", _numeric),
+    "5.0 in an int column": lambda lines, draw: _put(lines, draw, "5.0", _integer),
+    "# in a token": lambda lines, draw: _put(lines, draw, "At#tack", _token),
+    "Attackers": lambda lines, draw: _put(lines, draw, "Attackers", _token),
+    "' 1' flag": lambda lines, draw: _put(lines, draw, " 1", _token),
+    "unit separator": lambda lines, draw: _put(lines, draw, "\x1c5", _numeric),
+    "non-BMP character": lambda lines, draw: _put(lines, draw, "\U0009c4005", _numeric),
+}
+
+
+@pytest.mark.parametrize("fallback", list(FALLBACKS))
+@SETTINGS
+@given(data=st.data())
+def test_files_that_fall_back_read_as_the_oracle_reads_them(fallback, data):
+    lines = data.draw(tables(min_rows=1))
+    assert_reads_as_the_oracle(FALLBACKS[fallback](lines, data.draw))
+
+
+FLOAT_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 0.1 + 0.2, 1 / 3, 2.0**-1074, 1.7976931348623157e308, 1e16,
+                     1e-5, 123456789.12345679]),
+)
+TEXT_CELLS = st.one_of(st.text(max_size=4), st.sampled_from([",", '"', "\n", "\r", "", "a,b"]))
+COLUMNS = st.one_of(
+    st.lists(FLOAT_CELLS, min_size=3, max_size=3),
+    st.lists(INT64, min_size=3, max_size=3),
+    st.lists(st.booleans(), min_size=3, max_size=3).map(np.array),
+    st.lists(st.sampled_from(["Normal", "Attack"]), min_size=3, max_size=3).map(np.array),
+    st.lists(TEXT_CELLS, min_size=3, max_size=3).map(np.array),
+)
+
+
+@SETTINGS
+@given(st.lists(COLUMNS, max_size=4), st.integers(min_value=0, max_value=3))
+@example([np.array(["a", "", "b"])], 3)
+@example([[-0.0, 5e-324, 0.30000000000000004], np.array(["", ",", '"'])], 3)
+def test_writer_writes_the_oracles_bytes(columns, rows):
+    columns = [column[:rows] for column in columns]
+    header = [f"c{i}" for i in range(len(columns))]
+    assert csv_text(header, columns) == oracles.csv_text(header, columns)
+
+
+def test_the_package_reads_its_own_tables_in_one_numpy_pass(monkeypatch, tmp_path):
+    awkward = [-0.0, 5e-324, 0.1 + 0.2, 1e16, 1e-5, -1.7976931348623157e308, 0.5, 2.0]
+    frame = make_frame(np.reshape(awkward, (4, 2)), labels=[0, 1, 1, 0], start=-2)
+    verdicts = VerdictSeries(indices=range(5, 13), flags=np.greater(awkward, 0.4), scores=awkward)
+    series = ErrorSeries(errors=awkward[:5], target_indices=range(5), delta=0.0, sigma=0.0)
+    save_csv(frame, tmp_path / "data.csv")
+    (tmp_path / "verdicts.csv").write_text(verdict_csv(verdicts))
+    (tmp_path / "errors.csv").write_text(error_series_csv(series))
+
+    def general_path(path, data):
+        raise AssertionError(f"{path} was read by csv.reader")
+
+    monkeypatch.setattr(dataio, "_csv_rows", general_path)
+    back = load_csv(tmp_path / "data.csv", frame.schema)
+    np.testing.assert_array_equal(back.timestamps, frame.timestamps)
+    np.testing.assert_array_equal(bits(back.values), bits(frame.values))
+    np.testing.assert_array_equal(back.labels, frame.labels)
+    back = read_verdicts(tmp_path / "verdicts.csv")
+    np.testing.assert_array_equal(back.indices, verdicts.indices)
+    np.testing.assert_array_equal(back.flags, verdicts.flags)
+    np.testing.assert_array_equal(bits(back.scores), bits(verdicts.scores))
+    back = read_error_series(tmp_path / "errors.csv")
+    np.testing.assert_array_equal(back.target_indices, series.target_indices)
+    np.testing.assert_array_equal(bits(back.errors), bits(series.errors))

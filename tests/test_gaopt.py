@@ -92,7 +92,6 @@ def test_validate_genome():
     problems = validate_genome(PipelineSettings(window=10, beta=5.0))
     assert any("window=10" in p for p in problems)
     assert any("beta" in p for p in problems)
-    assert any("divisible by 4" in p for p in problems)
 
 
 def test_genome_seed_depends_on_genome_and_base():
@@ -264,7 +263,16 @@ def test_invalid_genome_maps_to_zero_fitness(caplog):
     with caplog.at_level(logging.WARNING, logger="cps_sentinel.gaopt"):
         fitness = make_evaluator(train, validation)(bad)
     assert fitness == 0.0
-    assert any("divisible by 4" in r.message for r in caplog.records)
+    assert any("window=10 outside its domain" in r.message for r in caplog.records)
+
+
+def test_a_window_the_stack_rejects_is_a_recorded_failure(monkeypatch):
+    train, validation = labeled_frames()
+    monkeypatch.setitem(GENE_DOMAINS, "window", GeneSpec(choices=(8, 10)))
+    evaluator = make_evaluator(train, validation)
+    assert evaluator(PipelineSettings(window=10)) == 0.0
+    [(key, reason)] = evaluator.failures
+    assert reason == "the two pools of 2 need a window divisible by 4, not 10"
 
 
 def test_make_evaluator_caches_and_records_failures(monkeypatch):

@@ -31,7 +31,7 @@ FORMAT_VERSION = 6
 _DETECTOR_CLASSES = {THRESHOLD: ThresholdModel, OCSVM: OcsvmModel, KMEANS: KmeansModel}
 
 # JSON types accepted for each annotated field type.
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), list: (list,), dict: (dict,)}
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), dict: (dict,)}
 
 
 def _is_array(annotation) -> bool:
@@ -52,12 +52,11 @@ def _encode(obj, section: str, arrays: dict) -> dict:
 
 
 def _get(meta: dict, key: str, annotation, where: str):
-    """meta[key] as `annotation` (a scalar type or a tuple of one)."""
+    """meta[key] as `annotation`: a scalar type, or `tuple[item, ...]`."""
     value = meta.get(key) if isinstance(meta, dict) else None
     if get_origin(annotation) is tuple:
-        item, *rest = get_args(annotation)
-        ok = type(value) is list and (rest == [Ellipsis] or len(value) == 1 + len(rest))
-        if ok and all(type(v) in _JSON_TYPES[item] for v in value):
+        item = get_args(annotation)[0]
+        if type(value) is list and all(type(v) in _JSON_TYPES[item] for v in value):
             return tuple(value)
     elif type(value) in _JSON_TYPES[annotation]:
         # Finite floats only; the comparison is exact for huge JSON integers too.

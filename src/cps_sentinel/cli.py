@@ -138,8 +138,7 @@ def _history_text(history: TrainHistory) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    plant, attacks = plantsim.load_plant_config(args.config)
-    steps = plantsim.read_simulate(dataio.read_config(args.config), plant)
+    plant, attacks, steps = plantsim.read_plant(dataio.read_config(args.config))
 
     # Both frames are built before either file is written, so a failure
     # leaves no partial output.

@@ -5,9 +5,9 @@ Every CSV table the package writes or reads goes through `csv_text` and
 `read_csv`, and every INI config through `read_config` and `read_section`;
 the modules that own a table or a section define its header or its keys.
 A plain file (printable ASCII without quotes) is parsed in one numpy pass,
-and any other file by `csv.reader`, with the same values and messages; a
-table whose text cells need no quoting is written as joined rows, and any
-other table by `csv.writer`, with the same bytes.
+and any other file by `csv.reader`, with the same values and messages.
+Rows have one write path: their cells are joined, with the bytes
+`csv.writer` would write, and a text cell that it would quote raises.
 
 Wire format: `Timestamp` column first (integer seconds, or ISO-8601 which is
 converted to epoch seconds), one decimal column per channel, and an optional
@@ -157,36 +157,40 @@ class WindowBatch:
 def csv_text(header, columns) -> str:
     """CSV text: the header row, then one row per position of equal-length columns.
 
-    Each column is a sequence or a 1-D array. Floats are written as their
-    repr, the shortest text that reads back to the same bits, and every row
-    ends in a bare newline. The text is what `csv.writer` writes: a table
-    whose cells need no quoting is joined row by row, any other goes
-    through `csv.writer`.
+    Each row ends in a bare newline. The header goes through `csv.writer`,
+    which quotes a name where CSV needs it; the rows are `csv_lines`.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    arrays = [np.asarray(column) for column in columns]
-    cells = list(map(_plain_cells, arrays))
-    if None in cells or (len(cells) == 1 and "" in cells[0]):
-        writer.writerows(zip(*(array.tolist() for array in arrays)))
-        return buf.getvalue()
-    rows = "\n".join(map(",".join, zip(*cells)))
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    rows = "\n".join(csv_lines(columns))
     return buf.getvalue() + rows + "\n" if rows else buf.getvalue()
 
 
-def _plain_cells(array: np.ndarray) -> list[str] | None:
-    """Each value of `array` as `csv.writer` writes it, the repr of a float
-    and the str of anything else, or None when a cell might be quoted or the
-    array holds neither numbers nor text."""
+def csv_lines(columns) -> list[str]:
+    """One CSV row, without its line end, per position of equal-length columns.
+
+    Each column is a sequence or a 1-D array of numbers or of text, and its
+    cells are what `csv.writer` writes: floats as their repr, the shortest
+    text that reads back to the same bits, and every other value as its
+    str. A text cell holding a comma, a quote or a line break raises
+    ValueError, as `csv.writer` would quote it.
+    """
+    return list(map(",".join, zip(*map(_cells, columns))))
+
+
+def _cells(column) -> list[str]:
+    """Each value of `column` as one unquoted CSV cell."""
+    array = np.asarray(column)
     kind, values = array.dtype.kind, array.tolist()
     if kind == "f":
         return list(map(repr, values))
     if kind in "biu":
         return list(map(str, values))
-    if kind == "U" and set(',"\r\n').isdisjoint("".join(values)):
-        return values
-    return None
+    if kind != "U":
+        raise ValueError(f"cannot write a column of {array.dtype} as CSV")
+    if not set(',"\r\n').isdisjoint("".join(values)):
+        raise ValueError("a text cell holds a comma, a quote or a line break")
+    return values
 
 
 def _csv_rows(path, data: bytes) -> list[list[str]]:

@@ -4,7 +4,6 @@ from .layers import SIGMOID, TANH, glorot_uniform
 from .model import (
     ADAM_EPS,
     CnnModel,
-    EarlyStopper,
     ForecasterStack,
     ShapeError,
     TrainConfig,
@@ -24,7 +23,6 @@ __all__ = [
     "ShapeError",
     "glorot_uniform",
     "CnnModel",
-    "EarlyStopper",
     "ForecasterStack",
     "TrainConfig",
     "TrainHistory",

@@ -50,28 +50,6 @@ class TrainHistory:
         return len(self.val_loss)
 
 
-class EarlyStopper:
-    """Stop after `patience` consecutive epochs without strict improvement."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self._stale = 0
-
-    def update(self, loss: float) -> bool:
-        """Record one epoch's loss; returns True when it improved on the best."""
-        if loss < self.best:
-            self.best = loss
-            self._stale = 0
-            return True
-        self._stale += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self._stale >= self.patience
-
-
 class ShapeError(ValueError):
     """The input shape does not fit the forecaster stack."""
 
@@ -139,12 +117,9 @@ class CnnModel:
                 layer.weights, layer.bias = next(shared), next(shared)
         self.adam_t = 0
 
-    def forward(self, window: np.ndarray) -> np.ndarray:
-        """Predict the next reading for one (w, C) window or a (B, w, C) batch."""
-        x = np.asarray(window, dtype=np.float64)
-        single = x.ndim == 2
-        if single:
-            x = x[None, :, :]
+    def forward(self, windows: np.ndarray) -> np.ndarray:
+        """Predict the next reading for each window of a (B, w, C) batch."""
+        x = np.asarray(windows, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ValueError(
                 f"window shape {x.shape[1:]} does not match model input {self.input_shape}"
@@ -153,7 +128,7 @@ class CnnModel:
             x, _ = layer.forward(x)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite forecaster output: parameters blew up")
-        return x[0] if single else x
+        return x
 
     def loss_and_grads(
         self,
@@ -285,9 +260,9 @@ def train(model: CnnModel, batch: WindowBatch, config: TrainConfig) -> TrainHist
     val_x, val_y = batch.inputs[train_n:], batch.targets[train_n:]
 
     rng = Rng(derive_seed(config.seed, 0xD0))
-    stopper = EarlyStopper(config.early_stop_patience)
     history = TrainHistory()
     best_params = model.flat_params.copy()
+    best_loss, stale = np.inf, 0
     order = np.arange(train_n)
 
     for _ in range(config.epochs):
@@ -306,10 +281,13 @@ def train(model: CnnModel, batch: WindowBatch, config: TrainConfig) -> TrainHist
         if not np.isfinite(val_loss):
             raise FloatingPointError("training diverged: non-finite validation loss")
         history.val_loss.append(val_loss)
-        if stopper.update(val_loss):
+        if val_loss < best_loss:  # strictly: a tie is a stale epoch
+            best_loss, stale = val_loss, 0
             best_params = model.flat_params.copy()
-        if stopper.should_stop:
-            break
+        else:
+            stale += 1
+            if stale == config.early_stop_patience:
+                break
 
     model.flat_params[...] = best_params
     return history

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import FieldError, TimeSeriesFrame, csv_text
+from .dataio import FieldError, TimeSeriesFrame, csv_lines, csv_text
 from .detectors import DETECTOR_KINDS, NonConvergence
 from .forecaster import TrainConfig
 from .pipeline import PipelineSettings, evaluate_frame, fit_pipeline
@@ -120,20 +120,17 @@ def mutate(
 def repair(
     genome: PipelineSettings, rng: Rng, domains: dict[str, GeneSpec] | None = None
 ) -> PipelineSettings:
-    """Resample any out-of-domain gene; force the window divisible by 4."""
+    """Resample any gene outside its domain in `domains`.
+
+    Whether the genes build a forecaster is `forecaster.build_model`'s rule:
+    a window the pools cannot halve twice fails there, and the evaluator
+    records the failure with fitness 0.
+    """
     domains = GENE_DOMAINS if domains is None else domains
     genes = {}
     for name, spec in domains.items():
         if not spec.contains(getattr(genome, name)):
             genes[name] = spec.sample(rng)
-    window_spec = domains.get("window", GENE_DOMAINS["window"])
-    if genes.get("window", genome.window) % 4 != 0:
-        if window_spec.continuous:
-            raise ValueError("window domain must be a finite choice set")
-        valid = [c for c in window_spec.choices if c % 4 == 0]
-        if not valid:
-            raise ValueError("window domain contains no multiple of 4")
-        genes["window"] = valid[rng.randint(len(valid))]
     return replace(genome, **genes)
 
 
@@ -291,9 +288,9 @@ def evolve(
     mean_history: list[float] = []
 
     def record(generation: int) -> None:
-        for idx, ind in enumerate(population):
-            log_lines.append(f"{generation},{idx},{ind.genome.key()},{ind.fitness!r}")
         fits = [ind.fitness for ind in population]
+        keys = [ind.genome.key() for ind in population]
+        log_lines.extend(csv_lines(([generation] * len(fits), range(len(fits)), keys, fits)))
         best_history.append(max(fits))
         mean_history.append(sum(fits) / len(fits))
 

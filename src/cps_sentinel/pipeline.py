@@ -172,19 +172,19 @@ def fit_pipeline(
 
     if settings.detector == THRESHOLD:
         detector = threshold_fit(train_errors, settings.beta)
-    elif settings.detector == OCSVM:
-        embedding = embed(train_errors, settings.lag)
-        detector = ocsvm_fit(embedding, settings.nu, settings.gamma)
     else:
         embedding = embed(train_errors, settings.lag)
-        augmented = augment(
-            embedding,
-            delta=train_errors.delta,
-            sigma_train=train_errors.sigma,
-            fraction=settings.augment_fraction,
-            seed=derive_seed(seed, 0x03),
-        )
-        detector = kmeans_fit(augmented, seed=derive_seed(seed, 0x04))
+        if settings.detector == OCSVM:
+            detector = ocsvm_fit(embedding, settings.nu, settings.gamma)
+        else:
+            augmented = augment(
+                embedding,
+                delta=train_errors.delta,
+                sigma_train=train_errors.sigma,
+                fraction=settings.augment_fraction,
+                seed=derive_seed(seed, 0x03),
+            )
+            detector = kmeans_fit(augmented, seed=derive_seed(seed, 0x04))
 
     return FittedPipeline(
         settings=settings,
@@ -208,14 +208,13 @@ def detect_frame(
 
     kind = fitted.settings.detector
     if kind == THRESHOLD:
-        verdicts = threshold_detect(fitted.detector, errors)
-    elif kind == OCSVM:
-        embedding = embed(errors, fitted.settings.lag)
-        verdicts = align_to_series(ocsvm_detect(fitted.detector, embedding), errors)
+        return threshold_detect(fitted.detector, errors), errors
+    embedding = embed(errors, fitted.settings.lag)
+    if kind == OCSVM:
+        scored = ocsvm_detect(fitted.detector, embedding)
     else:
-        embedding = embed(errors, fitted.settings.lag)
-        verdicts = align_to_series(kmeans_detect(fitted.detector, embedding), errors)
-    return verdicts, errors
+        scored = kmeans_detect(fitted.detector, embedding)
+    return align_to_series(scored, errors), errors
 
 
 def evaluate_frame(

@@ -301,22 +301,19 @@ _ATTACK_PARSERS = dict(start=int, duration=int, targets=_parse_targets,
                        manipulation=_parse_manipulation)
 
 
-def read_simulate(config, plant: PlantConfig) -> dict:
-    """The [simulate] section of a parsed config: the row counts of the
-    normal and the test trace and the test trace's plant seed."""
-    defaults = {"normal_steps": 5000, "test_steps": 1000, "test_seed": plant.seed + 1}
-    steps = read_section(config, "simulate", defaults)
-    for key in ("normal_steps", "test_steps"):
-        with naming_keys({"duration": f"[simulate] {key}"}):
-            _check_duration(steps[key])
-    return steps
-
-
 def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
     """The [plant] section and every [attack.<name>] section of the INI file
-    at `path`; the README documents their keys. Each attack must lie inside
-    the [simulate] test trace and target the plant's stages."""
-    config = read_config(path)
+    at `path`, as `read_plant` reads them."""
+    plant, attacks, _ = read_plant(read_config(path))
+    return plant, attacks
+
+
+def read_plant(config) -> tuple[PlantConfig, list[AttackSpec], dict]:
+    """The [plant] section, every [attack.<name>] section and the [simulate]
+    section of a parsed config; the README documents their keys. [simulate]
+    gives the row counts of the normal and the test trace and the test
+    trace's plant seed, and each attack must lie inside the test trace and
+    target the plant's stages."""
     if "plant" not in config:
         raise ValueError("config has no [plant] section")
     defaults = dict(zip(_PLANT_KEYS, astuple(PlantConfig())))
@@ -328,7 +325,11 @@ def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
             values[key] *= values["stages"]
     with naming_keys({f.name: f"[plant] {key}" for f, key in zip(fields(PlantConfig), values)}):
         plant = PlantConfig(*values.values())
-    test_steps = read_simulate(config, plant)["test_steps"]
+    defaults = {"normal_steps": 5000, "test_steps": 1000, "test_seed": plant.seed + 1}
+    steps = read_section(config, "simulate", defaults)
+    for key in ("normal_steps", "test_steps"):
+        with naming_keys({"duration": f"[simulate] {key}"}):
+            _check_duration(steps[key])
     attacks = []
     for section in config.sections():
         if section.startswith(ATTACK_SECTION):
@@ -338,6 +339,6 @@ def load_plant_config(path) -> tuple[PlantConfig, list[AttackSpec]]:
                 raise ValueError(f"[{section}] is missing {missing[0]}")
             with naming_keys({key: f"[{section}] {key}" for key in block}):
                 attack = AttackSpec(**block)
-                attack.check_fits(plant.stage_count, 0, test_steps)
+                attack.check_fits(plant.stage_count, 0, steps["test_steps"])
             attacks.append(attack)
-    return plant, attacks
+    return plant, attacks, steps

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cps_sentinel import cli
+from cps_sentinel import cli, dataio, plantsim
 from cps_sentinel.cli import infer_schema, main
 from cps_sentinel.dataio import DataFormatError
 from cps_sentinel.detectors import KMEANS
@@ -320,6 +320,21 @@ def test_simulate_checks_the_attacks_before_simulating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("cps-sentinel: [attack.2] start: "
                    "attack interval [190, 210) outside frame [0, 200)\n")
+
+
+def test_simulate_parses_its_config_once(tmp_path, monkeypatch):
+    cfg = tmp_path / "plant.ini"
+    cfg.write_text(PLANT_INI)
+    read_config, parsed = dataio.read_config, []
+
+    def counted(path):
+        parsed.append(path)
+        return read_config(path)
+
+    for module in (dataio, plantsim):
+        monkeypatch.setattr(module, "read_config", counted)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert parsed == [str(cfg)]
 
 
 @pytest.mark.parametrize("key, field", [

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cps_sentinel.artifact import _decode_model
 from cps_sentinel.forecaster import (
     TANH,
-    EarlyStopper,
     ForecasterStack,
     ShapeError,
     TrainConfig,
@@ -237,8 +236,8 @@ def test_zero_parameters_predict_one_half():
     model = build_model(4, 2, SMALL_STACK, seed=0)
     for p in model.params:
         p[...] = 0.0
-    out = model.forward(np.ones((4, 2)))
-    np.testing.assert_array_equal(out, [0.5, 0.5])
+    out = model.forward(np.ones((1, 4, 2)))
+    np.testing.assert_array_equal(out, [[0.5, 0.5]])
 
 
 def test_dropout_scales_kept_units():
@@ -367,7 +366,7 @@ def test_default_stack_arithmetic():
     model = build_model(12, 6, default_stack(6), seed=0)
     flatten = [l for l in model.layers if isinstance(l, FlattenLayer)]
     assert flatten[0].forward(np.zeros((1, 3, 64)))[0].shape == (1, 192)
-    assert model.forward(np.zeros((12, 6))).shape == (6,)
+    assert model.forward(np.zeros((1, 12, 6))).shape == (1, 6)
 
 
 @pytest.mark.parametrize("w", [10, 11])
@@ -427,32 +426,39 @@ def test_parameter_count_is_the_size_build_model_allocates(
 
 def test_forward_rejects_wrong_window_shape():
     model = build_model(4, 2, SMALL_STACK, seed=0)
-    with pytest.raises(ValueError, match="does not match model input"):
-        model.forward(np.zeros((5, 2)))
+    with pytest.raises(ValueError, match=r"window shape \(5, 2\) does not match model input"):
+        model.forward(np.zeros((1, 5, 2)))
+    # One window is a batch of one; a bare (w, C) window is a shape error.
+    with pytest.raises(ValueError, match=r"window shape \(2,\) does not match model input"):
+        model.forward(np.zeros((4, 2)))
 
 
 def test_forward_flags_non_finite_parameters():
     model = build_model(4, 2, SMALL_STACK, seed=0)
     model.params[0][...] = np.nan
     with pytest.raises(FloatingPointError):
-        model.forward(np.zeros((4, 2)))
+        model.forward(np.zeros((1, 4, 2)))
 
 
-def test_early_stopper_arithmetic():
-    stopper = EarlyStopper(patience=3)
-    improved = [stopper.update(loss) for loss in [5.0, 4.0, 3.0, 4.0, 3.5, 3.0]]
-    assert improved == [True, True, True, False, False, False]
-    assert stopper.should_stop
-    assert stopper.best == 3.0
+def test_train_stops_after_patience_stale_epochs_and_restores_the_best(monkeypatch):
+    import cps_sentinel.forecaster.model as fm
 
+    # Epoch 3 improves and resets the count that epoch 2 started; the tie at
+    # epoch 4 is stale, as are epochs 5 and 6, so patience 3 stops after 6.
+    scripted = iter([0.5, 0.6, 0.4, 0.4, 0.45, 0.4, 0.1, 0.1, 0.1])
+    seen = []
 
-def test_early_stopper_reset_on_improvement():
-    stopper = EarlyStopper(patience=2)
-    for loss in [5.0, 6.0, 4.0, 5.0]:
-        stopper.update(loss)
-    assert not stopper.should_stop
-    stopper.update(4.5)
-    assert stopper.should_stop
+    def validation_loss(model, inputs, targets):
+        seen.append(model.flat_params.copy())
+        return next(scripted)
+
+    monkeypatch.setattr(fm, "_batched_mae", validation_loss)
+    model = build_model(4, 2, SMALL_STACK, seed=0)
+    config = TrainConfig(epochs=9, batch_size=8, learning_rate=0.01, early_stop_patience=3)
+    history = train(model, make_windows(random_frame(40, 2, seed=1), 4), config)
+    assert history.val_loss == [0.5, 0.6, 0.4, 0.4, 0.45, 0.4]
+    assert not np.array_equal(seen[2], seen[3])  # the tie's parameters differ
+    assert model.flat_params.tobytes() == seen[2].tobytes()
 
 
 def test_train_config_validation():
@@ -519,7 +525,7 @@ def test_predict_series_matches_per_window_forward():
     # to the last couple of ulps, not bit-exact.
     for i in range(len(batch)):
         np.testing.assert_allclose(
-            preds[i], model.forward(batch.inputs[i]), rtol=1e-13, atol=1e-15
+            preds[i], model.forward(batch.inputs[i : i + 1])[0], rtol=1e-13, atol=1e-15
         )
 
 

@@ -144,13 +144,8 @@ def test_mutate_rate_one_resamples_continuous_genes():
 
 
 def test_repair_fixes_violations():
-    rng = Rng(8)
-    fixed = repair(PipelineSettings(window=10, beta=9.0), rng)
+    fixed = repair(PipelineSettings(window=10, beta=9.0), Rng(8))
     assert validate_genome(fixed) == []
-    with pytest.raises(ValueError, match="multiple of 4"):
-        repair(PipelineSettings(window=10), rng, {"window": GeneSpec(choices=(10, 14))})
-    with pytest.raises(ValueError, match="finite choice"):
-        repair(PipelineSettings(window=10), rng, {"window": GeneSpec(low=8, high=24)})
 
 
 def test_ga_config_validation():
@@ -215,7 +210,7 @@ def test_evolve_log_lines_parse_as_csv():
     assert len(result.log_lines) == (SMALL_GA.generations + 1) * SMALL_GA.population_size
     for line in result.log_lines:
         generation, idx, key, fitness = line.split(",")
-        int(generation), int(idx), float(fitness)
+        assert line == f"{int(generation)},{int(idx)},{key},{float(fitness)!r}"
         assert key.count("=") == len(GENE_NAMES)
     text = evolution_log_text(result)
     assert text.endswith("\n") and text.count("\n") == len(result.log_lines)

@@ -440,12 +440,15 @@ def test_forward_flags_non_finite_parameters():
         model.forward(np.zeros((1, 4, 2)))
 
 
-def test_train_stops_after_patience_stale_epochs_and_restores_the_best(monkeypatch):
+def train_on_scripted_losses(monkeypatch, losses, patience):
+    """Train with the validation MAE replaced by `losses`, one per epoch.
+
+    Returns the model, its history and the parameters seen at each epoch's
+    validation, so a test can tell which epoch train restored.
+    """
     import cps_sentinel.forecaster.model as fm
 
-    # Epoch 3 improves and resets the count that epoch 2 started; the tie at
-    # epoch 4 is stale, as are epochs 5 and 6, so patience 3 stops after 6.
-    scripted = iter([0.5, 0.6, 0.4, 0.4, 0.45, 0.4, 0.1, 0.1, 0.1])
+    scripted = iter(losses)
     seen = []
 
     def validation_loss(model, inputs, targets):
@@ -454,8 +457,34 @@ def test_train_stops_after_patience_stale_epochs_and_restores_the_best(monkeypat
 
     monkeypatch.setattr(fm, "_batched_mae", validation_loss)
     model = build_model(4, 2, SMALL_STACK, seed=0)
-    config = TrainConfig(epochs=9, batch_size=8, learning_rate=0.01, early_stop_patience=3)
+    config = TrainConfig(epochs=len(losses), batch_size=8, learning_rate=0.01,
+                         early_stop_patience=patience)
     history = train(model, make_windows(random_frame(40, 2, seed=1), 4), config)
+    return model, history, seen
+
+
+def test_early_stopper_arithmetic(monkeypatch):
+    # Three improvements, then three stale epochs (the last one a tie).
+    model, history, seen = train_on_scripted_losses(
+        monkeypatch, [5.0, 4.0, 3.0, 4.0, 3.5, 3.0, 1.0, 1.0], patience=3)
+    assert history.val_loss == [5.0, 4.0, 3.0, 4.0, 3.5, 3.0]
+    assert model.flat_params.tobytes() == seen[2].tobytes()
+
+
+def test_early_stopper_reset_on_improvement(monkeypatch):
+    # The improvement at epoch 3 resets the stale count that epoch 2 started,
+    # so patience 2 runs a fifth epoch and stops only after it.
+    model, history, seen = train_on_scripted_losses(
+        monkeypatch, [5.0, 6.0, 4.0, 5.0, 4.5, 1.0, 1.0], patience=2)
+    assert history.val_loss == [5.0, 6.0, 4.0, 5.0, 4.5]
+    assert model.flat_params.tobytes() == seen[2].tobytes()
+
+
+def test_train_stops_after_patience_stale_epochs_and_restores_the_best(monkeypatch):
+    # Epoch 3 improves and resets the count that epoch 2 started; the tie at
+    # epoch 4 is stale, as are epochs 5 and 6, so patience 3 stops after 6.
+    model, history, seen = train_on_scripted_losses(
+        monkeypatch, [0.5, 0.6, 0.4, 0.4, 0.45, 0.4, 0.1, 0.1, 0.1], patience=3)
     assert history.val_loss == [0.5, 0.6, 0.4, 0.4, 0.45, 0.4]
     assert not np.array_equal(seen[2], seen[3])  # the tie's parameters differ
     assert model.flat_params.tobytes() == seen[2].tobytes()

@@ -12,6 +12,7 @@ is missing or malformed.
 
 import json
 import sys
+import tokenize
 import zipfile
 import zlib
 from dataclasses import MISSING, fields
@@ -66,11 +67,14 @@ def _get(meta: dict, key: str, annotation, where: str):
 
 
 def _array(arrays: dict, key: str, shape: tuple | None = None) -> np.ndarray:
-    """arrays[key], which must be finite float64 (and of `shape`, when given)."""
+    """arrays[key], which must be finite float64 (and of `shape`, when given).
+    numpy hands back a member without the .npy magic as its raw bytes."""
     value = arrays.get(key)
-    if value is None or value.dtype != np.float64 or shape not in (None, value.shape):
+    is_array = isinstance(value, np.ndarray)
+    if not is_array or value.dtype != np.float64 or shape not in (None, value.shape):
         want = "float64" if shape is None else f"float64 of shape {shape}"
-        found = "nothing" if value is None else f"{value.dtype} of shape {value.shape}"
+        found = (f"{value.dtype} of shape {value.shape}" if is_array
+                 else "nothing" if value is None else "a member that is not a .npy array")
         raise ValueError(f"artifact array {key} must be {want}, found {found}")
     if not np.all(np.isfinite(value)):
         raise ValueError(f"artifact array {key} holds non-finite values")
@@ -118,13 +122,14 @@ def save_pipeline(path, fitted: FittedPipeline) -> None:
 
 def load_pipeline(path) -> FittedPipeline:
     # zipfile and numpy raise any of these on a broken archive, on a member
-    # encrypted or compressed in a way they cannot decode, or on a bad header.
+    # encrypted or compressed in a way they cannot decode, or on a bad header;
+    # numpy tokenizes and parses a .npy header's dict as Python source.
     with open(path, "rb") as fh:
         try:
             with np.load(fh) as data:
                 arrays = {k: data[k] for k in data.files}
         except (zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError, EOFError,
-                OSError, ValueError) as exc:
+                OSError, ValueError, SyntaxError, tokenize.TokenError) as exc:
             raise ValueError(f"{path}: not an artifact ({exc})") from None
     if "meta" not in arrays:
         raise ValueError(f"{path}: not an artifact (no metadata)")

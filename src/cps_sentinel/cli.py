@@ -202,9 +202,9 @@ def _read_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
 def _cmd_evaluate(args) -> int:
     verdicts = read_verdicts(args.verdicts)
     label_indices, label_flags = _read_labels(args.labels)
-    lookup = {int(ix): bool(fl) for ix, fl in zip(label_indices, label_flags)}
+    lookup = dict(zip(label_indices.tolist(), label_flags.tolist()))
     try:
-        truth = np.asarray([lookup[int(ix)] for ix in verdicts.indices], dtype=bool)
+        truth = np.asarray([lookup[ix] for ix in verdicts.indices.tolist()], dtype=bool)
     except KeyError as exc:
         raise ValueError(f"labels file has no entry for index {exc.args[0]}") from None
     counts, report = score(verdicts, truth)

@@ -334,19 +334,18 @@ def kmeans_detect(model: KmeansModel, embedding: ErrorEmbedding) -> VerdictSerie
 def align_to_series(verdicts: VerdictSeries, series: ErrorSeries) -> VerdictSeries:
     """Expand embedding verdicts to the full error series.
 
-    Timesteps without an embedding point (the first lag steps) inherit the
-    verdict normal with score 0.
+    The verdicts must be the series' last steps, as every embedding's points
+    are; the steps before them (the first lag steps) are padded as normal
+    with score 0. Verdicts that are not the series' tail raise ValueError.
     """
-    index_map = {int(ix): i for i, ix in enumerate(verdicts.indices)}
-    n = len(series)
-    flags = np.zeros(n, dtype=bool)
-    scores = np.zeros(n)
-    for i, ix in enumerate(series.target_indices):
-        j = index_map.get(int(ix))
-        if j is not None:
-            flags[i] = verdicts.flags[j]
-            scores[i] = verdicts.scores[j]
-    return VerdictSeries(indices=series.target_indices, flags=flags, scores=scores)
+    pad = len(series) - len(verdicts)
+    if pad < 0 or not np.array_equal(verdicts.indices, series.target_indices[pad:]):
+        raise ValueError("verdicts are not the last steps of the error series")
+    return VerdictSeries(
+        indices=series.target_indices,
+        flags=np.pad(verdicts.flags, (pad, 0)),
+        scores=np.pad(verdicts.scores, (pad, 0)),
+    )
 
 
 def verdict_csv(verdicts: VerdictSeries) -> str:

@@ -105,12 +105,21 @@ def embed(series: ErrorSeries, lag: int = 1) -> ErrorEmbedding:
     """Pair each error with its lagged value: point i = (e[i+lag], e[i]).
 
     lag 0 is the degenerate all-diagonal embedding (raw errors twice), kept
-    so detectors can run directly on the 1-D error series.
+    so detectors can run directly on the 1-D error series. The series'
+    indices must be consecutive, so that e[i] is the error `lag` steps
+    before e[i+lag].
     """
     if lag < 0:
         raise ValueError("lag must be non-negative")
     if len(series) <= lag:
         raise ValueError(f"series of length {len(series)} too short for lag {lag}")
+    idx = series.target_indices
+    # The order test catches int64 wrap-around, whose difference is also 1.
+    gaps = np.flatnonzero((np.diff(idx) != 1) | (idx[1:] < idx[:-1]))
+    if len(gaps):
+        before, after = idx[gaps[0]], idx[gaps[0] + 1]
+        raise ValueError(f"error series indices must be consecutive: {before} is followed by "
+                         f"{after}")
     e = series.errors
     n = len(e) - lag
     points = np.column_stack([e[lag:], e[:n]])

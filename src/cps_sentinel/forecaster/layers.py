@@ -1,12 +1,14 @@
 """Batched forward/backward passes for the layers of the 1-D conv forecaster.
 
 All arrays are float64.  Sequence tensors are (batch, length, channels);
-flattened tensors are (batch, features).  Forward passes are functional:
+a Dense layer flattens its input to (batch, features) itself and hands its
+input gradient back in the input's shape.  Forward passes are functional:
 they return (output, cache) and leave no per-call state on the layer, so a
 frozen model can serve many threads; backward consumes the matching cache
 and returns (input_grad, [param_grads...]). A model's first layer has no
 layer below it to take its input gradient, so `backward(..., input_grad=False)`
-skips that product and returns None in its place.
+skips that product and returns None in its place; a pool, never first,
+ignores the flag.
 """
 
 import numpy as np
@@ -115,8 +117,6 @@ class MaxPool1DLayer:
         return np.maximum(a, c), a >= c
 
     def backward(self, dy, cache, input_grad=True):
-        if not input_grad:
-            return None, []
         first = cache
         dxr = np.empty((dy.shape[0], self.in_len // 2, 2, self.in_ch))
         dxr[:, :, 0, :] = np.where(first, dy, 0.0)
@@ -124,26 +124,10 @@ class MaxPool1DLayer:
         return dxr.reshape(dy.shape[0], self.in_len, self.in_ch), []
 
 
-class FlattenLayer:
-    def __init__(self, in_len: int, in_ch: int):
-        self.in_len, self.in_ch = in_len, in_ch
-
-    @property
-    def params(self):
-        return []
-
-    def forward(self, x, training=False, rng=None):
-        return x.reshape(x.shape[0], self.in_len * self.in_ch), None
-
-    def backward(self, dy, cache, input_grad=True):
-        if not input_grad:
-            return None, []
-        return dy.reshape(dy.shape[0], self.in_len, self.in_ch), []
-
-
 class DenseLayer:
     """Fully connected layer with a tanh or sigmoid activation and inverted
-    dropout on its output in training."""
+    dropout on its output in training. A (B, L, C) input is read as its
+    (B, L*C) reshape, a view of a contiguous pool output."""
 
     def __init__(self, in_features: int, units: int, activation: str, dropout: float, rng: Rng):
         self.activation, self.dropout = activation, dropout
@@ -155,6 +139,8 @@ class DenseLayer:
         return [self.weights, self.bias]
 
     def forward(self, x, training=False, rng=None):
+        shape = x.shape
+        x = x.reshape(shape[0], self.weights.shape[0])
         z = x @ self.weights + self.bias
         a = _activate(self.activation, z)
         mask = None
@@ -165,14 +151,14 @@ class DenseLayer:
             out = a * mask
         else:
             out = a
-        return out, (x, a, mask)
+        return out, (x, shape, a, mask)
 
     def backward(self, dy, cache, input_grad=True):
-        x, a, mask = cache
+        x, shape, a, mask = cache
         if mask is not None:
             dy = dy * mask
         dz = dy * _activate_grad(self.activation, a)
         dw = x.T @ dz
         db = dz.sum(axis=0)
-        dx = dz @ self.weights.T if input_grad else None
+        dx = (dz @ self.weights.T).reshape(shape) if input_grad else None
         return dx, [dw, db]

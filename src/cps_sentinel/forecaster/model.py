@@ -7,7 +7,7 @@ import numpy as np
 
 from ..dataio import FieldError, TimeSeriesFrame, WindowBatch, make_windows
 from ..rng import Rng, derive_seed
-from .layers import SIGMOID, TANH, Conv1DLayer, DenseLayer, FlattenLayer, MaxPool1DLayer
+from .layers import SIGMOID, TANH, Conv1DLayer, DenseLayer, MaxPool1DLayer
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -56,10 +56,10 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class ForecasterStack:
-    """Sizes of the forecaster's one layout: conv-pool-conv-pool-flatten, two
-    tanh Dense layers, and a sigmoid Dense output of `channels` units. Every
-    Dense layer, the output included, drops units at rate `dropout` in
-    training."""
+    """Sizes of the forecaster's one layout: conv-pool-conv-pool, two tanh
+    Dense layers, the first reading the pooled sequence flattened, and a
+    sigmoid Dense output of `channels` units. Every Dense layer, the output
+    included, drops units at rate `dropout` in training."""
 
     channels: int
     conv_filters: tuple[int, int]
@@ -196,7 +196,6 @@ def build_model(w: int, channels: int, stack: ForecasterStack, seed: int = 0) ->
         MaxPool1DLayer(w, f1),
         Conv1DLayer(f1, f2, k, rng),
         MaxPool1DLayer(w // 2, f2),
-        FlattenLayer(w // 4, f2),
         DenseLayer(w // 4 * f2, d1, TANH, stack.dropout, rng),
         DenseLayer(d1, d2, TANH, stack.dropout, rng),
         DenseLayer(d2, channels, SIGMOID, stack.dropout, rng),

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import tempfile
+import zipfile
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ def run_cli(argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+def with_member_bytes(raw: bytes, name: str, edit) -> bytes:
+    """The zip `raw` rewritten with fresh CRCs, member `name`'s bytes passed
+    through `edit`."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(raw)) as src, zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            dst.writestr(info.filename, edit(data) if info.filename == name else data)
+    return out.getvalue()
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from cps_sentinel.detectors import DETECTOR_KINDS, read_verdicts
 from cps_sentinel.forecaster import TrainConfig
 from cps_sentinel.pipeline import PipelineSettings, fit_pipeline
 
-from conftest import SETTINGS, random_frame, run_cli
+from conftest import SETTINGS, random_frame, run_cli, with_member_bytes
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,36 @@ def test_a_member_the_reader_cannot_decode_exits_2_in_one_line(saved, tmp_path, 
     code, err = run_cli(argv)
     assert code == 2
     assert err.startswith(f"cps-sentinel: {model}: not an artifact (") and err.count("\n") == 1
+
+
+# name -> (edit of the model.params member's .npy bytes, start of the message
+# after "cps-sentinel: ")
+DAMAGED_MEMBERS = {
+    # numpy tokenizes the header dict as Python source: an unclosed bracket.
+    "header that does not tokenize": (
+        lambda npy: npy.replace(b"'<f8'", b"(<f8'", 1), "{model}: not an artifact ("
+    ),
+    # numpy hands a member without the .npy magic back as raw bytes.
+    "no .npy magic": (
+        lambda npy: b"X" + npy[1:],
+        "artifact array model.params must be float64 of shape (146,), "
+        "found a member that is not a .npy array",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_MEMBERS))
+def test_a_damaged_npy_member_in_a_valid_zip_exits_2_in_one_line(saved, tmp_path, case):
+    data_csv, artifacts = saved
+    edit, message = DAMAGED_MEMBERS[case]
+    model = tmp_path / "model.npz"
+    model.write_bytes(with_member_bytes(artifacts["ocsvm"][2], "model.params.npy", edit))
+    argv = ["detect", "--model", str(model), "--data", str(data_csv), "--out", str(tmp_path)]
+    code, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith("cps-sentinel: " + message.format(model=model)), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "verdicts.csv").exists()
 
 
 def test_a_huge_gene_is_rejected_before_the_model_is_allocated(saved, tmp_path):

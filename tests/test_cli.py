@@ -674,6 +674,18 @@ def test_report_rejects_malformed_errors(tmp_path, capsys):
     assert "malformed row 2: 1 fields, expected 2: ['oops']" in err
 
 
+def test_report_rejects_errors_whose_indices_skip_steps(tmp_path, capsys):
+    """Step 5's lag-1 partner is step 4, which the file does not hold; it
+    must not be paired with step 1's error."""
+    gapped = tmp_path / "errors.csv"
+    gapped.write_text("index,error\n0,0.5\n1,0.2\n5,0.5\n6,0.2\n")
+    out = tmp_path / "r"
+    assert main(["report", "--errors", str(gapped), "--lag", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "cps-sentinel: error series indices must be consecutive: 1 is followed by 5\n"
+    assert not out.exists()
+
+
 def test_report_rejects_errors_whose_std_overflows(tmp_path, capsys):
     huge = tmp_path / "huge.csv"
     huge.write_text("index,error\n0,1e200\n1,2e200\n2,3e200\n")

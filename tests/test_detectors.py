@@ -444,6 +444,15 @@ def test_align_to_series_pads_missing_timesteps():
     np.testing.assert_array_equal(aligned.scores, [0.0, 0.0, 1.5, -0.5])
 
 
+@pytest.mark.parametrize("indices", [[11, 12], [12, 14], [13, 12], [9, 10, 11, 12, 13]])
+def test_align_to_series_rejects_verdicts_that_are_not_the_series_tail(indices):
+    series = series_from([0.1, 0.2, 0.3, 0.4], start=10)
+    n = len(indices)
+    verdicts = VerdictSeries(indices=np.array(indices), flags=np.ones(n), scores=np.ones(n))
+    with pytest.raises(ValueError, match="not the last steps of the error series"):
+        align_to_series(verdicts, series)
+
+
 def test_verdict_csv_format():
     verdicts = VerdictSeries(
         indices=np.array([3, 4]),

@@ -95,6 +95,21 @@ def test_embed_rejects_short_series():
         embed(series_from([1.0, 2.0]), lag=2)
 
 
+@pytest.mark.parametrize("lag", [0, 1, 2])
+@pytest.mark.parametrize("indices, gap", [
+    ([0, 1, 5, 6], "1 is followed by 5"),
+    ([3, 4, 4, 5], "4 is followed by 4"),
+    ([2**63 - 1, -(2**63), -(2**63) + 1], f"{2**63 - 1} is followed by {-(2**63)}"),
+])
+def test_embed_rejects_a_series_whose_indices_are_not_consecutive(indices, gap, lag):
+    """Step 5 after step 1 is not the step after it: its lagged partner
+    would be step 1's error instead of step 4's."""
+    errors = np.linspace(0.1, 0.4, len(indices))
+    series = ErrorSeries(errors=errors, target_indices=indices, delta=0.4, sigma=0.1)
+    with pytest.raises(ValueError, match=f"indices must be consecutive: {gap}"):
+        embed(series, lag=lag)
+
+
 def test_embed_rejects_a_negative_lag():
     with pytest.raises(ValueError, match="lag must be non-negative"):
         embed(series_from([1.0, 2.0, 3.0]), lag=-1)

@@ -20,7 +20,6 @@ from cps_sentinel.forecaster import (
 from cps_sentinel.forecaster.layers import (
     Conv1DLayer,
     DenseLayer,
-    FlattenLayer,
     MaxPool1DLayer,
 )
 from cps_sentinel.dataio import make_windows
@@ -216,13 +215,23 @@ def test_loss_and_grads_match_the_full_backward_oracle(stack, training):
             assert bits(got).tobytes() == bits(want).tobytes()
 
 
-def test_flatten_round_trip():
-    layer = FlattenLayer(in_len=3, in_ch=2)
-    x = np.arange(12.0).reshape(2, 3, 2)
+def test_dense_reads_a_sequence_as_its_flattened_reshape():
+    """A (B, L, C) input gives the bits of its (B, L*C) reshape, read as a
+    view, and the input gradient comes back in the input's shape."""
+    layer = DenseLayer(6, 4, TANH, dropout=0.0, rng=Rng(2))
+    draw = np.random.default_rng(3)
+    x = signed_draw(draw, (5, 3, 2))
     y, cache = layer.forward(x)
-    assert y.shape == (2, 6)
-    dx, _ = layer.backward(y, cache)
-    np.testing.assert_array_equal(dx, x)
+    flat_y, flat_cache = layer.forward(x.reshape(5, 6))
+    assert bits(y).tobytes() == bits(flat_y).tobytes()
+    assert np.shares_memory(cache[0], x)
+    dy = signed_draw(draw, (5, 4))
+    dx, grads = layer.backward(dy, cache)
+    flat_dx, flat_grads = layer.backward(dy, flat_cache)
+    assert dx.shape == (5, 3, 2) and flat_dx.shape == (5, 6)
+    assert bits(dx).tobytes() == bits(flat_dx).tobytes()
+    for got, want in zip(grads, flat_grads):
+        assert bits(got).tobytes() == bits(want).tobytes()
 
 
 def test_glorot_bounds():
@@ -364,8 +373,6 @@ def test_adam_rejects_non_finite_gradients():
 
 def test_default_stack_arithmetic():
     model = build_model(12, 6, default_stack(6), seed=0)
-    flatten = [l for l in model.layers if isinstance(l, FlattenLayer)]
-    assert flatten[0].forward(np.zeros((1, 3, 64)))[0].shape == (1, 192)
     assert model.forward(np.zeros((1, 12, 6))).shape == (1, 6)
 
 

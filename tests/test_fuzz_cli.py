@@ -73,6 +73,8 @@ augment_fraction = 0.3
 pipeline = 7
 """
 
+# The default genome takes the smallest sizes in the GA's gene domains, so it
+# is evaluated instead of failing as out of its domain.
 OPTIMIZE_INI = """\
 [paths]
 train_csv = {d}/normal.csv
@@ -82,11 +84,11 @@ evolution_log = {out}/evolution.log
 ga_history_csv = {out}/ga_history.csv
 
 [forecaster]
-window = 4
-conv1 = 2
-conv2 = 2
-dense1 = 2
-dense2 = 2
+window = 8
+conv1 = 16
+conv2 = 16
+dense1 = 16
+dense2 = 16
 epochs = 1
 batch_size = 32
 patience = 1
@@ -232,7 +234,8 @@ def damaged_npy(data, npy: bytes) -> bytes:
     if edit == "magic":
         out[0] = ord("X")
     elif edit == "header":
-        out[data.draw(st.integers(10, header_end - 1))] = data.draw(st.sampled_from(b"(){}[]',:0 x"))
+        at = data.draw(st.integers(10, header_end - 1))
+        out[at] = data.draw(st.sampled_from(b"(){}[]',:0 x"))
     elif edit == "data" and header_end < len(npy):
         out[data.draw(st.integers(header_end, len(npy) - 1))] = data.draw(st.integers(0, 255))
     else:

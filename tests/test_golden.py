@@ -1,9 +1,11 @@
-"""Golden digests of a fixed-seed simulate -> train -> detect -> report run through the CLI.
+"""Golden digests of fixed-seed simulate -> train -> detect -> report and
+optimize runs through the CLI.
 
 The README promises "same inputs, same bytes out"; these pins make that
 checkable across refactors. They pin the sha256 of every CSV the run writes
 (the simulated frames, `history.csv`, `verdicts.csv`, `errors.csv` and the
-report's `error_series.csv` and `embedding.csv`), and a digest of the trained
+report's `error_series.csv` and `embedding.csv`, and optimize's
+`evolution.log` and `ga_history.csv`), and a digest of the trained
 parameters that does not depend on how the artifact lays them out. A change
 that alters these bytes on purpose re-records the values and says why in
 CHANGES.md.
@@ -208,3 +210,63 @@ def test_history_writers_write_exact_reprs():
         "1,5e-324,5e-324\n"
         "2,0.30000000000000004,-0.0\n"
     )
+
+
+# sha256 of optimize's evolution.log, of its ga_history.csv, of the winner's parameters
+OPTIMIZE_GOLDEN = (
+    "9b00267a04886efd4afe229cd14f665b07ce78f24b04b71286d065e9e894e717",
+    "a9a4bd82eedbe50e5e550fa93a42c1968ba9a0f35249a24c68f4d29524983069",
+    "a661d55cdd6f7fb9c352abc439422061148858688f545342d006f3587335f1ed",
+)
+
+
+def optimize_ini(data, tmp_path, threads):
+    """A micro GA whose default genome lies inside every gene domain; a bred
+    genome wins, so the pins cover selection as well as training."""
+    return f"""\
+[paths]
+train_csv = {data}/normal.csv
+validation_csv = {data}/test.csv
+artifact = {tmp_path}/best.npz
+evolution_log = {tmp_path}/evolution.log
+ga_history_csv = {tmp_path}/ga_history.csv
+
+[forecaster]
+window = 8
+conv1 = 16
+conv2 = 16
+dense1 = 16
+dense2 = 16
+dropout = 0.3
+learning_rate = 0.0001
+epochs = 2
+batch_size = 64
+patience = 2
+
+[detector]
+kind = kmeans
+beta = 1.2
+
+[ga]
+population_size = 4
+generations = 2
+tournament_size = 2
+crossover_rate = 0.9
+mutation_rate = 0.3
+elitism_count = 1
+seed = 5
+budget_epochs = 1
+threads = {threads}
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fixed_seed_optimize_reproduces_golden_digests(plant_data, tmp_path, threads):
+    (tmp_path / "ga.ini").write_text(optimize_ini(plant_data, tmp_path, threads))
+    assert main(["optimize", "--config", str(tmp_path / "ga.ini")]) == 0
+    got = (
+        sha256((tmp_path / "evolution.log").read_bytes()),
+        sha256((tmp_path / "ga_history.csv").read_bytes()),
+        model_digest(load_pipeline(tmp_path / "best.npz").model),
+    )
+    assert got == OPTIMIZE_GOLDEN

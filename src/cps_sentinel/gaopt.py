@@ -1,7 +1,8 @@
 """Genetic algorithm over pipeline hyperparameters, maximizing detection F1.
 
 A genome is a `PipelineSettings`: the fields named in GENE_DOMAINS are its
-genes, and the others keep the default genome's values.
+genes, and the others keep the default genome's values. Random genomes and
+mutations sample inside the domains; a default gene outside them trains too.
 
 Tournament selection, uniform crossover, per-gene resample mutation, and
 elitism. Fitness is a pure function of the genome (per-genome seeds derive
@@ -34,19 +35,10 @@ class GeneSpec:
     low: float = 0.0
     high: float = 0.0
 
-    @property
-    def continuous(self) -> bool:
-        return not self.choices
-
     def sample(self, rng: Rng):
-        if self.continuous:
+        if not self.choices:
             return rng.uniform_range(self.low, self.high)
         return self.choices[rng.randint(len(self.choices))]
-
-    def contains(self, value) -> bool:
-        if self.continuous:
-            return self.low <= value <= self.high
-        return value in self.choices
 
 
 GENE_DOMAINS: dict[str, GeneSpec] = {
@@ -71,16 +63,6 @@ GENE_NAMES = tuple(GENE_DOMAINS)
 DEFAULT_GENOME = PipelineSettings()
 
 
-def validate_genome(genome: PipelineSettings) -> list[str]:
-    """All gene-domain violations, empty when the genome is well-formed."""
-    problems = []
-    for name, spec in GENE_DOMAINS.items():
-        value = getattr(genome, name)
-        if not spec.contains(value):
-            problems.append(f"{name}={value!r} outside its domain")
-    return problems
-
-
 def random_genome(
     rng: Rng,
     domains: dict[str, GeneSpec] | None = None,
@@ -93,8 +75,7 @@ def random_genome(
     """
     domains = GENE_DOMAINS if domains is None else domains
     base = DEFAULT_GENOME if base is None else base
-    genome = replace(base, **{name: spec.sample(rng) for name, spec in domains.items()})
-    return repair(genome, rng, domains)
+    return replace(base, **{name: spec.sample(rng) for name, spec in domains.items()})
 
 
 def crossover(rng: Rng, a: PipelineSettings, b: PipelineSettings) -> PipelineSettings:
@@ -115,23 +96,6 @@ def mutate(
         if rng.uniform() < rate:
             changed[name] = spec.sample(rng)
     return replace(genome, **changed) if changed else genome
-
-
-def repair(
-    genome: PipelineSettings, rng: Rng, domains: dict[str, GeneSpec] | None = None
-) -> PipelineSettings:
-    """Resample any gene outside its domain in `domains`.
-
-    Whether the genes build a forecaster is `forecaster.build_model`'s rule:
-    a window the pools cannot halve twice fails there, and the evaluator
-    records the failure with fitness 0.
-    """
-    domains = GENE_DOMAINS if domains is None else domains
-    genes = {}
-    for name, spec in domains.items():
-        if not spec.contains(getattr(genome, name)):
-            genes[name] = spec.sample(rng)
-    return replace(genome, **genes)
 
 
 @dataclass
@@ -179,9 +143,6 @@ def _evaluate_raising(
     budget: TrainConfig | None,
     base_seed: int,
 ) -> float:
-    problems = validate_genome(genome)
-    if problems:
-        raise ValueError("; ".join(problems))
     fitted = fit_pipeline(train_frame, genome, budget=budget, seed=genome_seed(base_seed, genome))
     _, report, _, _ = evaluate_frame(fitted, validation_frame)
     return report.f1
@@ -237,12 +198,8 @@ class EvolutionResult:
 
 def _evaluate_population(population: list[Individual], evaluator, threads: int) -> None:
     pending = [ind for ind in population if ind.fitness is None]
-    genomes = [ind.genome for ind in pending]
-    if threads > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluator, genomes))
-    else:
-        results = [evaluator(g) for g in genomes]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(evaluator, [ind.genome for ind in pending]))
     for ind, fitness in zip(pending, results):
         ind.fitness = float(fitness)
 
@@ -267,12 +224,12 @@ def evolve(
 
     The initial population holds one copy of the default genome plus random
     genomes. All randomness comes from config.seed in the main thread, and
-    fitness depends only on the genome, so serial and parallel runs produce
-    identical logs. `threads` None, 0 or 1 means serial evaluation.
+    fitness depends only on the genome, so runs on any number of threads
+    produce identical logs. `threads` None, 0 or 1 means one evaluation thread.
     """
     domains = GENE_DOMAINS if domains is None else domains
     default_genome = DEFAULT_GENOME if default_genome is None else default_genome
-    threads = 0 if threads is None else threads
+    threads = threads or 1
     if threads < 0:
         raise ValueError("threads must be non-negative")
     rng = Rng(derive_seed(config.seed, 0x6A))
@@ -311,7 +268,6 @@ def evolve(
             else:
                 genome = parent_a.genome
             genome = mutate(rng, genome, config.mutation_rate, domains)
-            genome = repair(genome, rng, domains)
             children.append(Individual(genome))
         _evaluate_population(children, evaluator, threads)
         population = [Individual(e.genome, e.fitness) for e in elites] + children

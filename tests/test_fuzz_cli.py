@@ -73,8 +73,8 @@ augment_fraction = 0.3
 pipeline = 7
 """
 
-# The default genome takes the smallest sizes in the GA's gene domains, so it
-# is evaluated instead of failing as out of its domain.
+# The default genome takes the smallest sizes in the GA's gene domains, so
+# the default genome trains quickly.
 OPTIMIZE_INI = """\
 [paths]
 train_csv = {d}/normal.csv

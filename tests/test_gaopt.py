@@ -21,8 +21,6 @@ from cps_sentinel.gaopt import (
     make_evaluator,
     mutate,
     random_genome,
-    repair,
-    validate_genome,
 )
 from cps_sentinel.pipeline import PipelineSettings
 from cps_sentinel.rng import Rng
@@ -78,20 +76,12 @@ def test_genes_are_the_pipeline_settings_fields():
     assert keyed == list(GENE_NAMES)
 
 
-def test_crossover_and_repair_keep_the_non_gene_fields():
+def test_crossover_keeps_the_non_gene_fields():
     a = PipelineSettings(window=10, augment_fraction=0.4)
     b = PipelineSettings(window=24, beta=3.0, augment_fraction=0.1)
     rng = Rng(11)
     for _ in range(10):
         assert crossover(rng, a, b).augment_fraction == 0.4
-    assert repair(a, rng).augment_fraction == 0.4
-
-
-def test_validate_genome():
-    assert validate_genome(DEFAULT_GENOME) == []
-    problems = validate_genome(PipelineSettings(window=10, beta=5.0))
-    assert any("window=10" in p for p in problems)
-    assert any("beta" in p for p in problems)
 
 
 def test_genome_seed_depends_on_genome_and_base():
@@ -101,11 +91,18 @@ def test_genome_seed_depends_on_genome_and_base():
     assert genome_seed(0, PipelineSettings(beta=2.0)) != a
 
 
+def in_domains(genome: PipelineSettings) -> bool:
+    return all(
+        getattr(genome, name) in spec.choices if spec.choices
+        else spec.low <= getattr(genome, name) <= spec.high
+        for name, spec in GENE_DOMAINS.items()
+    )
+
+
 def test_random_genome_stays_in_domains():
     rng = Rng(3)
     for _ in range(50):
-        genome = random_genome(rng)
-        assert validate_genome(genome) == []
+        assert in_domains(random_genome(rng))
 
 
 def test_random_genome_restricted_domain_keeps_base_genes():
@@ -140,12 +137,7 @@ def test_mutate_rate_one_resamples_continuous_genes():
     rng = Rng(7)
     mutated = mutate(rng, DEFAULT_GENOME, rate=1.0)
     assert mutated.beta != DEFAULT_GENOME.beta  # continuous, so a.s. different
-    assert validate_genome(repair(mutated, rng)) == []
-
-
-def test_repair_fixes_violations():
-    fixed = repair(PipelineSettings(window=10, beta=9.0), Rng(8))
-    assert validate_genome(fixed) == []
+    assert in_domains(mutated)
 
 
 def test_ga_config_validation():
@@ -258,12 +250,11 @@ def test_invalid_genome_maps_to_zero_fitness(caplog):
     with caplog.at_level(logging.WARNING, logger="cps_sentinel.gaopt"):
         fitness = make_evaluator(train, validation)(bad)
     assert fitness == 0.0
-    assert any("window=10 outside its domain" in r.message for r in caplog.records)
+    assert any("window divisible by 4, not 10" in r.message for r in caplog.records)
 
 
-def test_a_window_the_stack_rejects_is_a_recorded_failure(monkeypatch):
+def test_a_window_the_stack_rejects_is_a_recorded_failure():
     train, validation = labeled_frames()
-    monkeypatch.setitem(GENE_DOMAINS, "window", GeneSpec(choices=(8, 10)))
     evaluator = make_evaluator(train, validation)
     assert evaluator(PipelineSettings(window=10)) == 0.0
     [(key, reason)] = evaluator.failures
@@ -305,6 +296,20 @@ def test_make_evaluator_propagates_programming_errors(monkeypatch):
         evaluator(DEFAULT_GENOME)
     assert evaluator.cache == {}
     assert evaluator.failures == []
+
+
+def test_an_out_of_domain_default_genome_is_trained_and_scored():
+    train, validation = labeled_frames(rows=70)
+    budget = TrainConfig(epochs=1, batch_size=16, early_stop_patience=1)
+    evaluator = make_evaluator(train, validation, budget=budget, seed=3)
+    base = PipelineSettings(window=8, conv1=2, conv2=16, dense1=16, dense2=16, beta=3.5)
+    config = GaConfig(population_size=3, generations=1, tournament_size=2, seed=1)
+    result = evolve(config, evaluator, domains={"lag": GENE_DOMAINS["lag"]},
+                    default_genome=base)
+    assert evaluator.failures == []
+    assert result.log_lines[0] == f"0,0,{base.key()},{evaluator.cache[base.key()]!r}"
+    # Genes outside `domains` pass to every child unchanged.
+    assert all(";conv1=2;" in line and ";beta=3.5;" in line for line in result.log_lines)
 
 
 def test_micro_ga_on_real_pipeline():

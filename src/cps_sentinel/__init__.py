@@ -7,6 +7,8 @@ and a genetic algorithm tunes the whole pipeline for F1. A deterministic
 water-plant simulator generates labeled benchmark data.
 """
 
+import logging
+
 from . import (
     artifact,
     dataio,
@@ -21,6 +23,9 @@ from . import (
 )
 
 __version__ = "0.1.0"
+
+# Records reach stderr only through handlers the application configures.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "artifact",

@@ -15,7 +15,7 @@ import sys
 import tokenize
 import zipfile
 import zlib
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from typing import get_args, get_origin
 
 import numpy as np
@@ -35,18 +35,13 @@ _DETECTOR_CLASSES = {THRESHOLD: ThresholdModel, OCSVM: OcsvmModel, KMEANS: Kmean
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), dict: (dict,)}
 
 
-def _is_array(annotation) -> bool:
-    return np.ndarray in (annotation, *get_args(annotation))
-
-
 def _encode(obj, section: str, arrays: dict) -> dict:
     """JSON-safe fields of a dataclass; its array fields go to `arrays`."""
     meta = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if _is_array(f.type):
-            if value is not None:
-                arrays[f"{section}.{f.name}"] = value
+        if f.type is np.ndarray:
+            arrays[f"{section}.{f.name}"] = value
         else:
             meta[f.name] = list(value) if isinstance(value, tuple) else value
     return meta
@@ -85,11 +80,10 @@ def _decode(cls, meta: dict, section: str, arrays: dict):
     """Rebuild a dataclass written by `_encode`, checking every field."""
     kwargs = {}
     for f in fields(cls):
-        key = f"{section}.{f.name}"
-        if not _is_array(f.type):
+        if f.type is np.ndarray:
+            kwargs[f.name] = _array(arrays, f"{section}.{f.name}")
+        else:
             kwargs[f.name] = _get(meta, f.name, f.type, section)
-        elif key in arrays or f.default is MISSING:
-            kwargs[f.name] = _array(arrays, key)
     return cls(**kwargs)
 
 

@@ -9,6 +9,7 @@ print a single diagnostic line on stderr.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import asdict, replace
@@ -59,6 +60,19 @@ class _Parser(argparse.ArgumentParser):
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+@contextlib.contextmanager
+def _outputs():
+    """The files whose paths the block appends to the list are removed if it raises."""
+    written = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def infer_schema(path: str) -> ChannelSchema:
@@ -160,9 +174,11 @@ def _cmd_train(args) -> int:
     paths = run.paths
     frame = load_csv(paths["train_csv"], infer_schema(paths["train_csv"]))
     fitted = fit_pipeline(frame, run.settings, run.budget, seed=run.seed)
-    save_pipeline(paths["artifact"], fitted)
-    if paths["history_csv"] is not None:
-        _write_text(paths["history_csv"], _history_text(fitted.history))
+    with _outputs() as written:
+        save_pipeline(paths["artifact"], fitted)
+        written.append(paths["artifact"])
+        if paths["history_csv"] is not None:
+            _write_text(paths["history_csv"], _history_text(fitted.history))
     print(
         f"trained {run.settings.detector} pipeline on {len(frame)} rows, "
         f"stopped after epoch {fitted.history.stopped_epoch}, "
@@ -222,18 +238,18 @@ def _cmd_optimize(args) -> int:
     # The config's gene values are the default genome, the first individual.
     result = evolve(run.ga, evaluator, default_genome=run.settings, threads=run.threads)
 
-    if run.paths["evolution_log"] is not None:
-        _write_text(run.paths["evolution_log"], evolution_log_text(result))
-    if run.paths["ga_history_csv"] is not None:
-        _write_text(run.paths["ga_history_csv"], history_csv(result))
-
     best = result.best
     fitted = fit_pipeline(
         train_frame, best.genome, run.budget, seed=genome_seed(run.ga.seed, best.genome)
     )
-    save_pipeline(run.paths["artifact"], fitted)
+    with _outputs() as written:
+        for key, render in (("evolution_log", evolution_log_text), ("ga_history_csv", history_csv)):
+            if run.paths[key] is not None:
+                _write_text(run.paths[key], render(result))
+                written.append(run.paths[key])
+        save_pipeline(run.paths["artifact"], fitted)
     print(f"best genome {best.genome.key()} fitness {best.fitness!r}; "
-          f"artifact at {run.paths['artifact']}")
+          f"artifact at {run.paths['artifact']}; {len(evaluator.failures)} genomes failed")
     return 0
 
 

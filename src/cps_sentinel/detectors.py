@@ -72,8 +72,6 @@ class ThresholdModel:
 
 
 def threshold_fit(train_errors: ErrorSeries, beta: float) -> ThresholdModel:
-    if len(train_errors) == 0:
-        raise ValueError("empty error series")
     return ThresholdModel(delta=train_errors.delta, beta=beta)
 
 
@@ -247,7 +245,7 @@ class KmeansModel:
     inertia: float
     n_iter: int
     # Objective value after each Lloyd update; non-increasing by construction.
-    inertia_trace: np.ndarray | None = None
+    inertia_trace: np.ndarray
 
     def __post_init__(self):
         if np.shape(self.centroids) != (2, 2) or self.attack_centroid_index not in (0, 1):

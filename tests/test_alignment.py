@@ -65,7 +65,7 @@ def test_indices_agree_from_windows_to_labels(case):
 
     model = KmeansModel(
         centroids=np.array([[0.0, 0.0], [0.5, 0.5]]), attack_centroid_index=1,
-        inertia=0.0, n_iter=1,
+        inertia=0.0, n_iter=1, inertia_trace=np.array([0.0]),
     )
     verdicts = kmeans_detect(model, embedding)
     aligned = align_to_series(verdicts, errors)

@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -697,15 +699,15 @@ def test_report_rejects_errors_whose_std_overflows(tmp_path, capsys):
     assert err == f"cps-sentinel: {huge}: error statistics are not finite: delta 3e+200, sigma inf\n"
 
 
-def test_optimize_micro_run(workspace, tmp_path, capsys):
-    cfg = tmp_path / "ga.ini"
-    cfg.write_text(f"""\
+def micro_ga_ini(workspace, out, artifact_dir):
+    """A three-genome, one-generation GA on the workspace's data, writing into `out`."""
+    return f"""\
 [paths]
 train_csv = {workspace}/data/normal.csv
 validation_csv = {workspace}/data/test.csv
-artifact = {tmp_path}/best.npz
-evolution_log = {tmp_path}/evolution.log
-ga_history_csv = {tmp_path}/ga_history.csv
+artifact = {artifact_dir}/best.npz
+evolution_log = {out}/evolution.log
+ga_history_csv = {out}/ga_history.csv
 
 [forecaster]
 epochs = 2
@@ -722,15 +724,66 @@ elitism_count = 1
 seed = 2
 budget_epochs = 1
 threads = 1
-""")
+"""
+
+
+def test_optimize_micro_run(workspace, tmp_path, capsys):
+    cfg = tmp_path / "ga.ini"
+    cfg.write_text(micro_ga_ini(workspace, tmp_path, tmp_path))
     assert main(["optimize", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
-    assert "best genome " in out and "fitness" in out
+    assert "best genome " in out and "fitness" in out and out.endswith("; 0 genomes failed\n")
     assert (tmp_path / "best.npz").exists()
     log_lines = (tmp_path / "evolution.log").read_text().strip().splitlines()
     assert len(log_lines) == 2 * 3  # (generations + 1) * population
     history = (tmp_path / "ga_history.csv").read_text().splitlines()
     assert history[0] == "generation,best,mean" and len(history) == 3
+
+
+def test_optimize_that_cannot_save_its_artifact_leaves_no_output(workspace, tmp_path, capsys):
+    cfg = tmp_path / "ga.ini"
+    cfg.write_text(micro_ga_ini(workspace, tmp_path / "out", tmp_path / "missing"))
+    (tmp_path / "out").mkdir()
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_train_that_cannot_write_its_history_leaves_no_output(workspace, tmp_path, capsys):
+    cfg = tmp_path / "train.ini"
+    ini = train_ini(workspace / "data", tmp_path / "out")
+    cfg.write_text(ini.replace(f"{tmp_path}/out/history.csv", f"{tmp_path}/missing/history.csv"))
+    (tmp_path / "out").mkdir()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_optimize_with_a_failed_genome_prints_one_stderr_line(workspace, tmp_path):
+    """Python's last-resort handler would print the failed genome's warning,
+    which pytest's log capture hides in process, so the run is a subprocess."""
+    cfg = tmp_path / "ga.ini"
+    cfg.write_text(micro_ga_ini(workspace, tmp_path, tmp_path / "missing"))
+    script = f"""\
+import sys
+from cps_sentinel import cli, gaopt
+
+evaluate, calls = gaopt._evaluate_raising, []
+
+def first_genome_overflows(genome, *args):
+    calls.append(genome)
+    if len(calls) == 1:
+        raise FloatingPointError("overflow")
+    return evaluate(genome, *args)
+
+gaopt._evaluate_raising = first_genome_overflows
+sys.exit(cli.main(["optimize", "--config", {str(cfg)!r}]))
+"""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("cps-sentinel: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 EVERY_KEY_INI = """\

@@ -391,6 +391,7 @@ def test_kmeans_detect_tie_is_normal():
         attack_centroid_index=1,
         inertia=0.0,
         n_iter=1,
+        inertia_trace=np.array([0.0]),
     )
     emb = embedding_from([[1.0, 1.0], [1.1, 1.1], [0.9, 0.9]])
     verdicts = kmeans_detect(model, emb)
@@ -488,7 +489,6 @@ def test_detector_state_round_trips():
     assert back.attack_centroid_index == kmeans.attack_centroid_index
     assert (back.inertia, back.n_iter) == (kmeans.inertia, kmeans.n_iter)
     np.testing.assert_array_equal(back.inertia_trace, kmeans.inertia_trace)
-    assert round_trip(replace(kmeans, inertia_trace=None)).inertia_trace is None
 
 
 def test_fitted_models_reject_malformed_arrays():

@@ -111,7 +111,8 @@ def save_pipeline(path, fitted: FittedPipeline) -> None:
         "train_sigma": fitted.train_sigma,
         "detector": _encode(fitted.detector, "detector", arrays),
     }
-    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    with open(path, "wb") as fh:  # An open file keeps numpy from adding ".npz" to the path.
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def load_pipeline(path) -> FittedPipeline:
@@ -127,7 +128,10 @@ def load_pipeline(path) -> FittedPipeline:
             raise ValueError(f"{path}: not an artifact ({exc})") from None
     if "meta" not in arrays:
         raise ValueError(f"{path}: not an artifact (no metadata)")
-    meta = json.loads(bytes(arrays.pop("meta")))
+    try:
+        meta = json.loads(bytes(arrays.pop("meta")))
+    except RecursionError as exc:
+        raise ValueError(f"{path}: not an artifact ({exc})") from None
     version = meta.get("format_version") if isinstance(meta, dict) else None
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported artifact format version {version}")
@@ -144,9 +148,13 @@ def load_pipeline(path) -> FittedPipeline:
         raise ValueError(
             f"artifact parts disagree: {channels} channels, {len(scaler.mins)} scaler entries"
         )
+    train_delta = _get(meta, "train_delta", float, "artifact")
     if settings.detector == OCSVM and detector.gamma != settings.gamma:
         raise ValueError(f"artifact fields disagree: settings.gamma {settings.gamma!r}, "
                          f"detector.gamma {detector.gamma!r}")
+    if settings.detector == THRESHOLD and detector.delta != train_delta:
+        raise ValueError(f"artifact fields disagree: train_delta {train_delta!r}, "
+                         f"detector.delta {detector.delta!r}")
     model = _decode_model(settings, channels, arrays)
     return FittedPipeline(
         settings=settings,
@@ -154,7 +162,7 @@ def load_pipeline(path) -> FittedPipeline:
         scaler=scaler,
         model=model,
         detector=detector,
-        train_delta=_get(meta, "train_delta", float, "artifact"),
+        train_delta=train_delta,
         train_sigma=_get(meta, "train_sigma", float, "artifact"),
         history=None,
     )

@@ -5,7 +5,8 @@ randomness flows from seeds in the config files, and every float is written
 with repr, so identical config plus seeds gives byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error; errors
-print a single diagnostic line on stderr.
+print a single diagnostic line on stderr. A command that fails leaves none
+of its outputs: if one cannot be written, those already written are removed.
 """
 
 import argparse
@@ -57,17 +58,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _text(render, value):
+    """A write of the text `render(value)`, rendered when it is called."""
+    def write(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(render(value))
+    return write
 
 
-@contextlib.contextmanager
-def _outputs():
-    """The files whose paths the block appends to the list are removed if it raises."""
+def _write_all(outputs) -> None:
+    """Call each of a command's `(path, write)` outputs as `write(path)`, in
+    order; if one raises, remove the files already written."""
     written = []
     try:
-        yield written
+        for path, write in outputs:
+            write(path)
+            written.append(path)
     except BaseException:
         for path in written:
             with contextlib.suppress(OSError):
@@ -151,54 +157,38 @@ def _history_text(history: TrainHistory) -> str:
     return csv_text(("epoch", "train_mae", "val_mae"), columns)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     plant, attacks, steps = plantsim.read_plant(dataio.read_config(args.config))
-
-    # Both frames are built before either file is written, so a failure
-    # leaves no partial output.
     normal = plantsim.simulate_normal(plant, steps["normal_steps"])
     test = plantsim.simulate_normal(replace(plant, seed=steps["test_seed"]), steps["test_steps"])
     test = plantsim.inject_attacks(test, attacks)
-    os.makedirs(args.out, exist_ok=True)
-    dataio.save_csv(normal, os.path.join(args.out, "normal.csv"))
-    dataio.save_csv(test, os.path.join(args.out, "test.csv"))
-    print(
-        f"wrote normal.csv ({len(normal)} rows) and test.csv "
-        f"({len(test)} rows, {len(attacks)} attacks) to {args.out}"
-    )
-    return 0
+    outputs = [(os.path.join(args.out, name), lambda p, frame=frame: dataio.save_csv(frame, p))
+               for name, frame in (("normal.csv", normal), ("test.csv", test))]
+    return outputs, (f"wrote normal.csv ({len(normal)} rows) and test.csv "
+                     f"({len(test)} rows, {len(attacks)} attacks) to {args.out}\n")
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args):
     run = _run_config(args.config, ("train_csv", "artifact"))
     paths = run.paths
     frame = load_csv(paths["train_csv"], infer_schema(paths["train_csv"]))
     fitted = fit_pipeline(frame, run.settings, run.budget, seed=run.seed)
-    with _outputs() as written:
-        save_pipeline(paths["artifact"], fitted)
-        written.append(paths["artifact"])
-        if paths["history_csv"] is not None:
-            _write_text(paths["history_csv"], _history_text(fitted.history))
-    print(
-        f"trained {run.settings.detector} pipeline on {len(frame)} rows, "
-        f"stopped after epoch {fitted.history.stopped_epoch}, "
-        f"delta {fitted.train_delta!r}; artifact at {paths['artifact']}"
-    )
-    return 0
+    outputs = [(paths["artifact"], lambda path: save_pipeline(path, fitted))]
+    if paths["history_csv"] is not None:
+        outputs.append((paths["history_csv"], _text(_history_text, fitted.history)))
+    return outputs, (f"trained {run.settings.detector} pipeline on {len(frame)} rows, "
+                     f"stopped after epoch {fitted.history.stopped_epoch}, "
+                     f"delta {fitted.train_delta!r}; artifact at {paths['artifact']}\n")
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args):
     fitted = load_pipeline(args.model)
     frame = load_csv(args.data, fitted.schema)
     verdicts, errors = detect_frame(fitted, frame)
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "verdicts.csv"), verdict_csv(verdicts))
-    _write_text(os.path.join(args.out, "errors.csv"), error_series_csv(errors))
-    print(
-        f"scored {len(verdicts)} timesteps, {int(np.sum(verdicts.flags))} flagged; "
-        f"verdicts.csv and errors.csv in {args.out}"
-    )
-    return 0
+    outputs = [(os.path.join(args.out, "verdicts.csv"), _text(verdict_csv, verdicts)),
+               (os.path.join(args.out, "errors.csv"), _text(error_series_csv, errors))]
+    return outputs, (f"scored {len(verdicts)} timesteps, {int(np.sum(verdicts.flags))} "
+                     f"flagged; verdicts.csv and errors.csv in {args.out}\n")
 
 
 def _read_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -215,20 +205,23 @@ def _read_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args):
     verdicts = read_verdicts(args.verdicts)
     label_indices, label_flags = _read_labels(args.labels)
+    for path, indices in ((args.verdicts, verdicts.indices), (args.labels, label_indices)):
+        _, first, counts = np.unique(indices, return_index=True, return_counts=True)
+        if np.any(counts > 1):
+            raise DataFormatError(f"{path}: index {indices[first[counts > 1].min()]} repeats")
     lookup = dict(zip(label_indices.tolist(), label_flags.tolist()))
     try:
         truth = np.asarray([lookup[ix] for ix in verdicts.indices.tolist()], dtype=bool)
     except KeyError as exc:
         raise ValueError(f"labels file has no entry for index {exc.args[0]}") from None
     counts, report = score(verdicts, truth)
-    sys.stdout.write(report_text(counts, report))
-    return 0
+    return [], report_text(counts, report)
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args):
     run = _run_config(args.config, ("train_csv", "validation_csv", "artifact"))
     train_path, validation_path = run.paths["train_csv"], run.paths["validation_csv"]
     train_frame = load_csv(train_path, infer_schema(train_path))
@@ -239,31 +232,23 @@ def _cmd_optimize(args) -> int:
     result = evolve(run.ga, evaluator, default_genome=run.settings, threads=run.threads)
 
     best = result.best
-    fitted = fit_pipeline(
-        train_frame, best.genome, run.budget, seed=genome_seed(run.ga.seed, best.genome)
-    )
-    with _outputs() as written:
-        for key, render in (("evolution_log", evolution_log_text), ("ga_history_csv", history_csv)):
-            if run.paths[key] is not None:
-                _write_text(run.paths[key], render(result))
-                written.append(run.paths[key])
-        save_pipeline(run.paths["artifact"], fitted)
-    print(f"best genome {best.genome.key()} fitness {best.fitness!r}; "
-          f"artifact at {run.paths['artifact']}; {len(evaluator.failures)} genomes failed")
-    return 0
+    fitted = fit_pipeline(train_frame, best.genome, run.budget,
+                          seed=genome_seed(run.ga.seed, best.genome))
+    outputs = [(run.paths[key], _text(render, result)) for key, render in
+               (("evolution_log", evolution_log_text), ("ga_history_csv", history_csv))
+               if run.paths[key] is not None]
+    outputs.append((run.paths["artifact"], lambda path: save_pipeline(path, fitted)))
+    return outputs, (f"best genome {best.genome.key()} fitness {best.fitness!r}; artifact at "
+                     f"{run.paths['artifact']}; {len(evaluator.failures)} genomes failed\n")
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     series = read_error_series(args.errors)
     embedding = embed(series, args.lag)
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "error_series.csv"), error_series_csv(series))
-    _write_text(os.path.join(args.out, "embedding.csv"), embedding_csv(embedding))
-    print(
-        f"error series ({len(series)} points, delta {series.delta!r}) and "
-        f"lag-{args.lag} embedding in {args.out}"
-    )
-    return 0
+    outputs = [(os.path.join(args.out, "error_series.csv"), _text(error_series_csv, series)),
+               (os.path.join(args.out, "embedding.csv"), _text(embedding_csv, embedding))]
+    return outputs, (f"error series ({len(series)} points, delta {series.delta!r}) and "
+                     f"lag-{args.lag} embedding in {args.out}\n")
 
 
 def _build_parser() -> _Parser:
@@ -311,7 +296,12 @@ def main(argv=None) -> int:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        outputs, summary = args.func(args)
+        if "out" in args:
+            os.makedirs(args.out, exist_ok=True)
+        _write_all(outputs)
+        sys.stdout.write(summary)
+        return 0
     # DataFormatError and every "[section] key" error are ValueErrors.
     except (NonConvergence, FloatingPointError, ValueError, OSError, MemoryError) as exc:
         # A MemoryError may carry no message; its name is then the line.

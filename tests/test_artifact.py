@@ -243,6 +243,18 @@ def test_a_damaged_npy_member_in_a_valid_zip_exits_2_in_one_line(saved, tmp_path
     assert not (tmp_path / "verdicts.csv").exists()
 
 
+def test_deeply_nested_metadata_is_not_an_artifact(saved, tmp_path):
+    """JSON nested past the interpreter's recursion limit cannot be decoded."""
+    data_csv, artifacts = saved
+    nested = b"[" * 200_000 + b"]" * 200_000
+    model = tmp_path / "model.npz"
+    np.savez(model, meta=np.frombuffer(nested, dtype=np.uint8), **artifacts["threshold"][1])
+    argv = ["detect", "--model", str(model), "--data", str(data_csv), "--out", str(tmp_path)]
+    code, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith(f"cps-sentinel: {model}: not an artifact (") and err.count("\n") == 1
+
+
 def test_a_huge_gene_is_rejected_before_the_model_is_allocated(saved, tmp_path):
     """dense1 = 10**8 asks for a ~6 GiB model; the stored vectors' length
     disagrees with it, and loading says so without allocating it."""

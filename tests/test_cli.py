@@ -522,6 +522,10 @@ BROKEN_ARTIFACTS = {
     "OC-SVM gamma that disagrees with the settings": (
         _ocsvm_with_another_gamma, "artifact fields disagree: settings.gamma 1.0, detector.gamma 2.0"
     ),
+    "threshold delta that disagrees with train_delta": (
+        lambda meta, arrays: (meta.update(train_delta=1.0), meta["detector"].update(delta=2.0)),
+        "artifact fields disagree: train_delta 1.0, detector.delta 2.0",
+    ),
     "scaler with the wrong channel count": (
         _shrink_scaler, "artifact parts disagree: 4 channels, 3 scaler entries"
     ),
@@ -582,6 +586,19 @@ def test_evaluate_missing_label_index_exits_2(tmp_path, capsys):
     labels.write_text("index,flag,score\n0,1,1.0\n")
     assert main(["evaluate", "--verdicts", str(verdicts), "--labels", str(labels)]) == 2
     assert "no entry for index 999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeated", ["verdicts", "labels"])
+def test_evaluate_rejects_a_repeated_index(tmp_path, capsys, repeated):
+    """Verdicts 5, 5, 6 against labels 5, 6, 5 would count the repeated verdict
+    twice and keep the last label of 5; the first file that repeats is named."""
+    files = {"verdicts": tmp_path / "v.csv", "labels": tmp_path / "l.csv"}
+    files["verdicts"].write_text("index,flag,score\n5,1,1.0\n5,1,1.0\n6,0,0.1\n"
+                                 if repeated == "verdicts" else "index,flag,score\n5,1,1.0\n")
+    files["labels"].write_text("index,flag,score\n5,1,1.0\n6,1,1.0\n5,0,0.1\n")
+    assert main(["evaluate", "--verdicts", str(files["verdicts"]),
+                 "--labels", str(files["labels"])]) == 2
+    assert capsys.readouterr().err == f"cps-sentinel: {files[repeated]}: index 5 repeats\n"
 
 
 def test_evaluate_rejects_non_verdict_file(tmp_path, capsys):

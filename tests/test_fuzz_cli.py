@@ -162,16 +162,21 @@ def write_configs(d: Path, out: Path) -> None:
         (d / f"{command}.ini").write_text(text.format(d=d, out=out))
 
 
+def lay_out(inputs, kind: str, d: Path, out: Path) -> None:
+    """Every input of every command in `d`, the configs writing into `out`."""
+    files, artifacts = inputs
+    out.mkdir()
+    write_configs(d, out)
+    for file, content in {**files, "model.npz": artifacts[kind]}.items():
+        (d / file).write_bytes(content)
+
+
 def run_damaged(inputs, kind: str, command: str, name: str, damage) -> None:
     """Run `command` on fresh inputs whose file `name` went through `damage`;
     it exits 0, or exits 2 in one line having written nothing."""
-    files, artifacts = inputs
     with tempfile.TemporaryDirectory() as tmp:
         d, out = Path(tmp), Path(tmp) / "out"
-        out.mkdir()
-        write_configs(d, out)
-        for file, content in {**files, "model.npz": artifacts[kind]}.items():
-            (d / file).write_bytes(content)
+        lay_out(inputs, kind, d, out)
         (d / name).write_bytes(damage((d / name).read_bytes()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -266,3 +271,38 @@ def test_a_damaged_artifact_member_exits_0_or_2_in_one_line(inputs, kind, data):
         member = data.draw(st.sampled_from(sorted(z.namelist())))
     run_damaged(inputs, kind, "detect", "model.npz",
                 lambda raw: with_member_bytes(raw, member, lambda npy: damaged_npy(data, npy)))
+
+
+# Every output of each command that writes, in the order it writes them.
+OUTPUTS = {
+    "simulate": ("normal.csv", "test.csv"),
+    "train": ("model.npz", "history.csv"),
+    "detect": ("verdicts.csv", "errors.csv"),
+    "optimize": ("evolution.log", "ga_history.csv", "best.npz"),
+    "report": ("error_series.csv", "embedding.csv"),
+}
+
+
+@pytest.mark.parametrize("command,name", [(c, n) for c in OUTPUTS for n in OUTPUTS[c]])
+def test_an_output_that_cannot_be_written_leaves_no_output(inputs, tmp_path, command, name):
+    """With one output's path taken by a directory, the command exits 2 in
+    one line and removes whatever it wrote before that output."""
+    out = tmp_path / "out"
+    lay_out(inputs, "threshold", tmp_path, out)
+    (out / name).mkdir()
+    code, err = run_cli(argv(command, tmp_path, out))
+    assert code == 2 and err.startswith("cps-sentinel: ") and err.count("\n") == 1, err
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_an_artifact_path_without_a_suffix_is_written_as_named(inputs, tmp_path):
+    out = tmp_path / "out"
+    lay_out(inputs, "threshold", tmp_path, out)
+    config = tmp_path / "train.ini"
+    config.write_text(config.read_text().replace("/model.npz", "/model"))
+    assert run_cli(["train", "--config", str(config)]) == (0, "")
+    assert sorted(p.name for p in out.iterdir()) == ["history.csv", "model"]
+    assert (out / "model").read_bytes() == inputs[1]["kmeans"]  # TRAIN_INI's detector
+    detect = ["detect", "--model", str(out / "model"), "--data", str(tmp_path / "test.csv"),
+              "--out", str(tmp_path / "detected")]
+    assert run_cli(detect) == (0, "")

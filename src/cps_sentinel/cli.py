@@ -115,6 +115,12 @@ def _run_config(path: str, required_paths) -> SimpleNamespace:
     missing = [key for key in required_paths if paths[key] is None]
     if missing:
         raise ValueError(f"config is missing [paths] {missing[0]}")
+    named = {}
+    for key, value in paths.items():
+        if value is not None:
+            first = named.setdefault(os.path.realpath(value), key)
+            if first != key:
+                raise ValueError(f"[paths] {first}, [paths] {key}: paths must name different files")
     genes, budget = PipelineSettings(), TrainConfig()
     forecaster = dataio.read_section(config, "forecaster", {
         **_defaults(genes, _FORECASTER_GENES),
@@ -143,8 +149,7 @@ def _run_config(path: str, required_paths) -> SimpleNamespace:
         raise ValueError(f"[forecaster] window: {exc}") from None
     # Evolution runs on a reduced epoch budget; the winner retrains in full.
     with dataio.naming_keys({"epochs": "[ga] budget_epochs"}):
-        ga_budget = replace(budget, epochs=ga_epochs,
-                            early_stop_patience=min(budget.early_stop_patience, ga_epochs))
+        ga_budget = replace(budget, epochs=ga_epochs)
     return SimpleNamespace(
         paths=paths, settings=settings, budget=budget, ga_budget=ga_budget,
         threads=threads, ga=ga_config,

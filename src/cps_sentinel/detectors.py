@@ -202,17 +202,10 @@ def ocsvm_fit(
     free = (alpha > SV_CUTOFF) & (alpha < upper - SV_CUTOFF)
     if np.any(free):
         rho = float(np.mean(grad[free]))
-    else:
-        at_upper = alpha >= upper - SV_CUTOFF
+    else:  # The alphas sum to 1, so with none free, one sits at its upper bound.
+        lo = float(np.max(grad[alpha >= upper - SV_CUTOFF]))
         at_zero = alpha <= SV_CUTOFF
-        lo = float(np.max(grad[at_upper])) if np.any(at_upper) else -np.inf
-        hi = float(np.min(grad[at_zero])) if np.any(at_zero) else np.inf
-        if np.isinf(lo):
-            rho = hi
-        elif np.isinf(hi):
-            rho = lo
-        else:
-            rho = 0.5 * (lo + hi)
+        rho = 0.5 * (lo + float(np.min(grad[at_zero]))) if np.any(at_zero) else lo
 
     keep = alpha > SV_CUTOFF
     return OcsvmModel(

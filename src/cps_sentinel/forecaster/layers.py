@@ -68,10 +68,10 @@ class Conv1DLayer:
         cols = self._im2col(x)
         z = cols @ self.weights.reshape(k * self.in_ch, f) + self.bias
         y = np.maximum(z, 0.0)
-        return y, (cols, z, y)
+        return y, (cols, z)
 
     def backward(self, dy, cache, input_grad=True):
-        cols, z, y = cache
+        cols, z = cache
         k, f = self.kernel_size, self.filters
         # The ReLU subgradient as a bool mask, which multiplies as 1.0 or 0.0.
         dz = dy * (z > 0.0)

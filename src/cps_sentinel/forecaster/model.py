@@ -34,8 +34,6 @@ class TrainConfig:
                 raise FieldError(f"{name} must be positive", name)
         if self.learning_rate <= 0:
             raise FieldError("learning_rate must be positive", "learning_rate")
-        if self.early_stop_patience > self.epochs:
-            raise FieldError("patience must not exceed epochs", "early_stop_patience", "epochs")
         if not 0.0 < self.validation_fraction < 1.0:
             raise FieldError("validation_fraction must lie in (0, 1)", "validation_fraction")
 

@@ -101,7 +101,7 @@ def mutate(
 @dataclass
 class Individual:
     genome: PipelineSettings
-    fitness: float | None = None
+    fitness: float
 
 
 @dataclass(frozen=True)
@@ -196,19 +196,16 @@ class EvolutionResult:
     log_lines: list[str]
 
 
-def _evaluate_population(population: list[Individual], evaluator, threads: int) -> None:
-    pending = [ind for ind in population if ind.fitness is None]
+def _fitness(genomes: list[PipelineSettings], evaluator, threads: int) -> list[float]:
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(evaluator, [ind.genome for ind in pending]))
-    for ind, fitness in zip(pending, results):
-        ind.fitness = float(fitness)
+        return [float(fitness) for fitness in pool.map(evaluator, genomes)]
 
 
-def _tournament(rng: Rng, population: list[Individual], size: int) -> Individual:
-    best = population[rng.randint(len(population))]
+def _tournament(rng: Rng, fits: list[float], size: int) -> int:
+    best = rng.randint(len(fits))
     for _ in range(size - 1):
-        challenger = population[rng.randint(len(population))]
-        if challenger.fitness > best.fitness:
+        challenger = rng.randint(len(fits))
+        if fits[challenger] > fits[best]:
             best = challenger
     return best
 
@@ -234,48 +231,40 @@ def evolve(
         raise ValueError("threads must be non-negative")
     rng = Rng(derive_seed(config.seed, 0x6A))
 
-    population = [Individual(default_genome)]
-    population += [
-        Individual(random_genome(rng, domains, base=default_genome))
-        for _ in range(config.population_size - 1)
-    ]
+    genomes = [default_genome]
+    genomes += [random_genome(rng, domains, base=default_genome)
+                for _ in range(config.population_size - 1)]
+    fits = _fitness(genomes, evaluator, threads)
 
     log_lines: list[str] = []
     best_history: list[float] = []
     mean_history: list[float] = []
 
     def record(generation: int) -> None:
-        fits = [ind.fitness for ind in population]
-        keys = [ind.genome.key() for ind in population]
+        keys = [genome.key() for genome in genomes]
         log_lines.extend(csv_lines(([generation] * len(fits), range(len(fits)), keys, fits)))
         best_history.append(max(fits))
         mean_history.append(sum(fits) / len(fits))
 
-    _evaluate_population(population, evaluator, threads)
     record(0)
-
     for generation in range(1, config.generations + 1):
-        ranked = sorted(
-            range(len(population)), key=lambda i: (-population[i].fitness, i)
-        )
-        elites = [population[i] for i in ranked[: config.elitism_count]]
+        elites = sorted(range(len(genomes)), key=lambda i: (-fits[i], i))[: config.elitism_count]
         children = []
         while len(children) < config.population_size - config.elitism_count:
-            parent_a = _tournament(rng, population, config.tournament_size)
-            parent_b = _tournament(rng, population, config.tournament_size)
+            parent_a = genomes[_tournament(rng, fits, config.tournament_size)]
+            parent_b = genomes[_tournament(rng, fits, config.tournament_size)]
             if rng.uniform() < config.crossover_rate:
-                genome = crossover(rng, parent_a.genome, parent_b.genome)
+                genome = crossover(rng, parent_a, parent_b)
             else:
-                genome = parent_a.genome
-            genome = mutate(rng, genome, config.mutation_rate, domains)
-            children.append(Individual(genome))
-        _evaluate_population(children, evaluator, threads)
-        population = [Individual(e.genome, e.fitness) for e in elites] + children
+                genome = parent_a
+            children.append(mutate(rng, genome, config.mutation_rate, domains))
+        genomes, fits = ([genomes[i] for i in elites] + children,
+                         [fits[i] for i in elites] + _fitness(children, evaluator, threads))
         record(generation)
 
-    best = max(population, key=lambda ind: ind.fitness)
+    best = max(range(len(fits)), key=fits.__getitem__)
     return EvolutionResult(
-        best=Individual(best.genome, best.fitness),
+        best=Individual(genomes[best], fits[best]),
         best_history=best_history,
         mean_history=mean_history,
         log_lines=log_lines,

@@ -183,9 +183,10 @@ MALFORMED_CONFIGS = {
         "train", "[forecaster]\npatience = 0\n",
         "[forecaster] patience: early_stop_patience must be positive",
     ),
-    "patience past the epochs": (
-        "train", "[forecaster]\nepochs = 3\npatience = 5\n",
-        "[forecaster] patience, [forecaster] epochs: patience must not exceed epochs",
+    "tournament past the population": (
+        "optimize", "[ga]\ntournament_size = 21\n",
+        "[ga] tournament_size, [ga] population_size: "
+        "tournament_size must lie in [1, population_size]",
     ),
     "unknown detector kind": ("train", "[detector]\nkind = svm\n", "[detector] kind: unknown detector"),
     "mutation rate past 1": (
@@ -235,6 +236,63 @@ artifact = {tmp_path}/model.npz
     assert err.startswith(f"cps-sentinel: {message}") and err.count("\n") == 1
     assert opened == []
     assert not (tmp_path / "model.npz").exists() and not (tmp_path / "out").exists()
+
+
+# name -> (command, the [paths] lines after train_csv, the keys the message names)
+COLLIDING_PATHS = {
+    "history over the artifact": (
+        "train", "artifact = {out}/model.npz\nhistory_csv = {out}/model.npz\n",
+        "[paths] artifact, [paths] history_csv",
+    ),
+    "fitness history over the log": (
+        "optimize",
+        "validation_csv = {data}/test.csv\nartifact = {out}/best.npz\n"
+        "evolution_log = {out}/ga.log\nga_history_csv = {out}/ga.log\n",
+        "[paths] evolution_log, [paths] ga_history_csv",
+    ),
+    "artifact over the training data": (
+        "train", "artifact = {data}/./normal.csv\n", "[paths] train_csv, [paths] artifact"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLIDING_PATHS))
+def test_two_paths_that_name_one_file_exit_2_before_reading_data(
+    workspace, tmp_path, capsys, monkeypatch, case
+):
+    command, lines, keys = COLLIDING_PATHS[case]
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(workspace / "data", data)
+    out.mkdir()
+    before = {path: path.read_bytes() for path in data.iterdir()}
+    opened = []
+    monkeypatch.setattr(cli, "infer_schema", opened.append)
+    cfg = tmp_path / "paths.ini"
+    cfg.write_text(f"[paths]\ntrain_csv = {data}/normal.csv\n"
+                   + lines.format(data=data, out=out))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cps-sentinel: {keys}: paths must name different files\n"
+    assert opened == [] and list(out.iterdir()) == []
+    assert {path: path.read_bytes() for path in data.iterdir()} == before
+
+
+def test_train_with_only_the_epochs_set_runs_every_epoch(workspace, tmp_path, capsys):
+    # The default patience, 5, exceeds the epochs: training cannot stop early.
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(f"""\
+[paths]
+train_csv = {workspace}/data/normal.csv
+artifact = {tmp_path}/model.npz
+history_csv = {tmp_path}/history.csv
+
+[forecaster]
+epochs = 3
+""")
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert "stopped after epoch 3," in capsys.readouterr().out
+    rows = (tmp_path / "history.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["epoch", "1", "2", "3"]
 
 
 # Each size needs hundreds of petabytes, more than any address space, so the
@@ -887,7 +945,7 @@ def test_every_config_key_sets_its_field(workspace, tmp_path, monkeypatch):
                                   seed=9)
     assert seen["threads"] == 2 and seen["seed"] == 9
     assert seen["default_genome"] == settings
-    assert seen["budget"] == TrainConfig(epochs=3, batch_size=9, early_stop_patience=3,
+    assert seen["budget"] == TrainConfig(epochs=3, batch_size=9, early_stop_patience=4,
                                          validation_fraction=0.25)
     # Every field read from the config was moved off its default.
     for value, default in ((settings, PipelineSettings()), (seen["ga"], GaConfig())):

@@ -221,6 +221,17 @@ def test_ocsvm_alpha_constraints():
     assert np.all(model.alphas <= upper.max() + 1e-12)
 
 
+@pytest.mark.parametrize("weighting", ["default", "explicit"])
+@pytest.mark.parametrize("nu", [0.01, 0.05, 0.1, 1.0])
+def test_ocsvm_alphas_sum_to_one(nu, weighting):
+    # ocsvm_fit relies on this: with no alpha free, the unit sum puts one at
+    # its upper bound, which bounds rho from below.
+    points = np.abs(blob(Rng(6), (0.5, 0.5), 0.2, 200))
+    weights = np.linspace(0.0, 2.0, 200) if weighting == "explicit" else None
+    model = ocsvm_fit(embedding_from(points), nu=nu, gamma=1.0, sample_weights=weights)
+    assert abs(float(np.sum(model.alphas)) - 1.0) <= 1e-9
+
+
 def test_ocsvm_free_support_vectors_sit_on_margin():
     rng = Rng(5)
     points = np.abs(blob(rng, (0.5, 0.5), 0.2, 150))

@@ -497,13 +497,26 @@ def test_train_stops_after_patience_stale_epochs_and_restores_the_best(monkeypat
     assert model.flat_params.tobytes() == seen[2].tobytes()
 
 
+@pytest.mark.parametrize("epochs", [1, 2, 3, 6])
+def test_a_patience_past_the_epochs_trains_as_a_patience_of_the_epochs(epochs):
+    # Epoch 1 always improves on an infinite best loss, so at most epochs - 1
+    # epochs can be stale and no patience of at least `epochs` is reached.
+    batch = make_windows(random_frame(60, 2, seed=13), 4)
+    runs = []
+    for patience in (epochs, epochs + 1, epochs + 40):
+        model = build_model(4, 2, SMALL_STACK, seed=8)
+        config = TrainConfig(epochs=epochs, batch_size=8, learning_rate=0.05,
+                             early_stop_patience=patience)
+        history = train(model, batch, config)
+        runs.append((history.train_loss, history.val_loss, model.flat_params.tobytes()))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError, match="positive"):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError, match="patience"):
-        TrainConfig(epochs=3, early_stop_patience=4)
     with pytest.raises(ValueError, match="validation_fraction"):
         TrainConfig(validation_fraction=1.0)
 

@@ -59,10 +59,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _text(render, value):
-    """A write of the text `render(value)`, rendered when it is called."""
+    """A write of the text `render(value)`, rendered when it is called and
+    before its file is created, so a failed render leaves no file."""
     def write(path):
+        text = render(value)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render(value))
+            fh.write(text)
     return write
 
 
@@ -117,6 +119,8 @@ def _run_config(path: str, required_paths) -> SimpleNamespace:
         raise ValueError(f"config is missing [paths] {missing[0]}")
     named = {}
     for key, value in paths.items():
+        if value == "":
+            raise ValueError(f"[paths] {key}: path is empty")
         if value is not None:
             first = named.setdefault(os.path.realpath(value), key)
             if first != key:

@@ -24,8 +24,10 @@ KKT_TOL = 1e-6
 WEIGHT_EPS = 1e-6
 SV_CUTOFF = 1e-12
 KMEANS_MAX_ITER = 300
-# Entries per row block in rbf_kernel: a 256 KiB buffer, so a block's
-# passes run in cache.
+# Entries per block of kernel rows that the OC-SVM fit's first gradient and
+# the decision compute at once: a 256 KiB array, so a block's passes run in
+# cache. Each solver step computes its two rows, 2n entries, in one call.
+# Nothing holds an n x n or a points x support-vector kernel.
 KERNEL_BLOCK_ENTRIES = 1 << 15
 
 
@@ -99,30 +101,32 @@ class OcsvmModel:
             raise ValueError("gamma must be positive")
 
 
-def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a_i - b_j||^2) for row sets a, b.
+def _operand(points: np.ndarray) -> np.ndarray:
+    """2-D points as the kernel reads them: rows x, y and |p|^2, each contiguous."""
+    x, y = np.asarray(points, dtype=np.float64).T
+    return np.stack([x, y, x * x + y * y])
 
-    The cross products come from one matrix product, which is turned into
-    the kernel in place, a block of rows at a time, through one small
-    buffer. So peak memory is the output plus that buffer, and each entry
-    comes from the same expression, evaluated in the same order, as in
-    `exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))` over whole arrays.
+
+def _rbf(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """The kernel block between operands a (3, k) and b (3, m), shape (k, m).
+
+    Each entry is `exp(-gamma * max(|a|^2 + |b|^2 - 2 (a_x b_x + a_y b_y), 0))`
+    evaluated elementwise, so its bits do not depend on which other rows
+    share the call, and K(p, q) == K(q, p) exactly.
     """
-    out = a @ b.T
-    a_sq = np.sum(a * a, axis=1)[:, None]
-    b_sq = np.sum(b * b, axis=1)[None, :]
-    block = max(1, KERNEL_BLOCK_ENTRIES // max(1, len(b)))
-    buf = np.empty((min(block, len(a)), len(b)))
-    for lo in range(0, len(a), block):
-        rows = out[lo : lo + block]
-        sq = buf[: len(rows)]
-        np.add(a_sq[lo : lo + block], b_sq, out=sq)
-        rows *= 2.0
-        np.subtract(sq, rows, out=rows)
-        np.maximum(rows, 0.0, out=rows)
-        rows *= -gamma
-        np.exp(rows, out=rows)
-    return out
+    cross = a[0, :, None] * b[0]
+    cross += a[1, :, None] * b[1]
+    cross *= 2.0
+    sq = a[2, :, None] + b[2]
+    sq -= cross
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
+
+
+def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * ||a_i - b_j||^2) for 2-D row sets a, b."""
+    return _rbf(_operand(a), _operand(b), gamma)
 
 
 def default_weights(embedding: ErrorEmbedding) -> np.ndarray:
@@ -141,7 +145,8 @@ def ocsvm_fit(
 
     min 1/2 a^T K a  s.t.  0 <= a_i <= w_i / (nu * n * mean(w)),  sum a = 1.
     sample_weights None selects the error-proportional default; pass an
-    explicit array (for instance all ones) to override.
+    explicit array (for instance all ones) to override. Kernel rows are
+    computed when a step needs them, so memory grows linearly with n.
     """
     points = embedding.points
     n = len(points)
@@ -159,7 +164,8 @@ def ocsvm_fit(
             raise ValueError("sample_weights must be n non-negative reals, not all zero")
 
     upper = weights / (nu * n * float(np.mean(weights)))
-    kernel = rbf_kernel(points, points, gamma)
+    operand = _operand(points)
+    block = max(1, KERNEL_BLOCK_ENTRIES // n)
 
     # Greedy feasible start: fill boxes in order until the unit mass is spent.
     alpha = np.zeros(n)
@@ -171,7 +177,13 @@ def ocsvm_fit(
         if remaining <= 0.0:
             break
 
-    grad = kernel @ alpha
+    # K alpha as the alpha-weighted sum of the kernel rows whose alpha is not
+    # 0: the kernel is exactly symmetric, and only rows are ever computed.
+    grad = np.zeros(n)
+    nonzero = np.flatnonzero(alpha)
+    for start in range(0, len(nonzero), block):
+        rows = nonzero[start : start + block]
+        grad += alpha[rows] @ _rbf(operand[:, rows], operand, gamma)
     max_iter = 10 * n
     violation = np.inf
     for _ in range(max_iter):
@@ -185,14 +197,14 @@ def ocsvm_fit(
         if violation <= KKT_TOL:
             break
         # Move mass from j to i; curvature is non-negative for a PSD kernel.
-        curv = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+        k_i, k_j = _rbf(operand[:, [i, j]], operand, gamma)
+        curv = k_i[i] + k_j[j] - 2.0 * k_i[j]
         limit = min(upper[i] - alpha[i], alpha[j])
         step = limit if curv <= 0 else min(limit, violation / curv)
         alpha[i] += step
         alpha[j] -= step
-        # Rows, not columns: the kernel is exactly symmetric, and a row read
-        # is contiguous.
-        grad += step * (kernel[i] - kernel[j])
+        # Rows stand in for columns: the kernel is exactly symmetric.
+        grad += step * (k_i - k_j)
     else:
         raise NonConvergence(
             f"one-class SVM dual: KKT violation {violation:.3e} > {KKT_TOL} "
@@ -218,8 +230,14 @@ def ocsvm_fit(
 
 def ocsvm_decision(model: OcsvmModel, points: np.ndarray) -> np.ndarray:
     """Signed decision values: sum_i alpha_i K(sv_i, x) - rho."""
-    k = rbf_kernel(np.asarray(points, dtype=np.float64), model.support_vectors, model.gamma)
-    return k @ model.alphas - model.rho
+    operand = _operand(points)
+    support = _operand(model.support_vectors)
+    block = max(1, KERNEL_BLOCK_ENTRIES // len(model.alphas))
+    sums = np.empty(operand.shape[1])
+    for lo in range(0, len(sums), block):
+        k = _rbf(operand[:, lo : lo + block], support, model.gamma)
+        sums[lo : lo + block] = k @ model.alphas
+    return sums - model.rho
 
 
 def ocsvm_detect(model: OcsvmModel, embedding: ErrorEmbedding) -> VerdictSeries:
@@ -330,7 +348,7 @@ def align_to_series(verdicts: VerdictSeries, series: ErrorSeries) -> VerdictSeri
     with score 0. Verdicts that are not the series' tail raise ValueError.
     """
     pad = len(series) - len(verdicts)
-    if pad < 0 or not np.array_equal(verdicts.indices, series.target_indices[pad:]):
+    if not np.array_equal(verdicts.indices, series.target_indices[pad:]):
         raise ValueError("verdicts are not the last steps of the error series")
     return VerdictSeries(
         indices=series.target_indices,

@@ -156,6 +156,7 @@ MALFORMED_CONFIGS = {
     "unknown train section": ("train", "[forcaster]\nwindow = 8\n", "[forcaster]: unknown section"),
     "misspelled ga key": ("optimize", "[ga]\npopulaton_size = 5\n", "[ga] populaton_size: unknown"),
     "misspelled paths key": ("train", "history = h.csv\n", "[paths] history: unknown key"),
+    "empty path": ("train", "history_csv =\n", "[paths] history_csv: path is empty"),
     "misspelled seeds key": ("train", "[seeds]\npipline = 3\n", "[seeds] pipline: unknown key"),
     "word for the thread count": ("optimize", "[ga]\nthreads = all\n", "[ga] threads: invalid"),
     "negative thread count": (
@@ -831,6 +832,23 @@ def test_train_that_cannot_write_its_history_leaves_no_output(workspace, tmp_pat
     (tmp_path / "out").mkdir()
     assert main(["train", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_an_interrupted_write_removes_the_outputs_already_written(
+    workspace, tmp_path, monkeypatch
+):
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(train_ini(workspace / "data", tmp_path / "out"))
+    (tmp_path / "out").mkdir()
+
+    def interrupt(history):
+        raise KeyboardInterrupt
+
+    # The history is train's second output, after the artifact.
+    monkeypatch.setattr(cli, "_history_text", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--config", str(cfg)])
     assert list((tmp_path / "out").iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -122,10 +123,12 @@ def test_rbf_kernel_matches_loop_oracle():
 
 
 def one_shot_rbf_kernel(a, b, gamma):
-    """The kernel in one pass over all rows: the blocked kernel's oracle."""
-    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    """The kernel as one elementwise expression over all rows: its oracle."""
+    a_sq = a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1]
+    b_sq = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1]
+    cross = a[:, :1] * b[:, 0] + a[:, 1:] * b[:, 1]
+    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * cross
+    return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
 B_ROWS = 300
@@ -138,7 +141,12 @@ def test_rbf_kernel_is_byte_equal_to_the_one_shot_formula(n):
     a = rng.gauss_array(2 * n).reshape(n, 2) * 0.3
     b = rng.gauss_array(2 * B_ROWS).reshape(B_ROWS, 2) * 0.3
     for gamma in (0.5, 7.0):
-        assert rbf_kernel(a, b, gamma).tobytes() == one_shot_rbf_kernel(a, b, gamma).tobytes()
+        kernel = rbf_kernel(a, b, gamma)
+        assert kernel.tobytes() == one_shot_rbf_kernel(a, b, gamma).tobytes()
+        # The solver computes rows one or two at a time: an entry's bits must
+        # not depend on the rows computed with it.
+        for i in {0, n // 2, n - 1}:
+            assert rbf_kernel(a[i : i + 1], b, gamma).tobytes() == kernel[i].tobytes()
 
 
 def fit_points(n):
@@ -146,32 +154,47 @@ def fit_points(n):
     return np.abs(blob(rng, (0.05, 0.05), 0.03, n))
 
 
-def test_ocsvm_fit_kernel_is_exactly_symmetric(monkeypatch):
+def test_ocsvm_fit_kernel_is_exactly_symmetric():
     """The solver reads kernel rows where the dual needs columns."""
-    kernels = []
-
-    def recording_kernel(a, b, gamma):
-        kernels.append(rbf_kernel(a, b, gamma))
-        return kernels[-1]
-
-    monkeypatch.setattr(detectors, "rbf_kernel", recording_kernel)
-    ocsvm_fit(embedding_from(fit_points(1500)), nu=0.1, gamma=3.0)
-    (kernel,) = kernels
-    assert kernel.shape == (1500, 1500)
+    points = fit_points(1500)
+    kernel = rbf_kernel(points, points, 3.0)
     assert np.array_equal(kernel, kernel.T)
 
 
-def test_ocsvm_fit_peak_memory_is_the_kernel_plus_small_blocks():
-    n = 3000
+def test_ocsvm_fit_peak_memory_is_linear_in_n():
+    # A kernel of 10,000 points would take 800 MB.
+    n = 10_000
     emb = embedding_from(fit_points(n))
     tracemalloc.start()
     try:
+        began = time.perf_counter()
         ocsvm_fit(emb, nu=0.1, gamma=3.0)
+        seconds = time.perf_counter() - began
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kernel_bytes = 8 * n * n
-    assert peak < 1.5 * kernel_bytes, f"peak {peak / kernel_bytes:.2f}x the kernel"
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+    assert seconds < 2.0, f"fit took {seconds:.2f} s"
+
+
+def test_ocsvm_kernel_blocks_stay_within_the_entry_budget(monkeypatch):
+    """Neither the fit nor the decision computes a kernel block larger than
+    KERNEL_BLOCK_ENTRIES, though both kernels here are many times larger."""
+    rbf = detectors._rbf
+    shapes = []
+
+    def recording_rbf(a, b, gamma):
+        shapes.append((a.shape[1], b.shape[1]))
+        return rbf(a, b, gamma)
+
+    monkeypatch.setattr(detectors, "_rbf", recording_rbf)
+    points = fit_points(3000)
+    model = ocsvm_fit(embedding_from(points), nu=0.5, gamma=3.0)
+    fit_calls = len(shapes)
+    ocsvm_decision(model, points)
+    assert fit_calls > 1 and len(shapes) > fit_calls + 1
+    assert 3000 * len(model.alphas) > 10 * detectors.KERNEL_BLOCK_ENTRIES
+    assert max(rows * cols for rows, cols in shapes) <= detectors.KERNEL_BLOCK_ENTRIES
 
 
 def test_default_weights_are_error_proportional_with_unit_mean():
@@ -230,6 +253,21 @@ def test_ocsvm_alphas_sum_to_one(nu, weighting):
     weights = np.linspace(0.0, 2.0, 200) if weighting == "explicit" else None
     model = ocsvm_fit(embedding_from(points), nu=nu, gamma=1.0, sample_weights=weights)
     assert abs(float(np.sum(model.alphas)) - 1.0) <= 1e-9
+
+
+def test_ocsvm_rho_is_the_midpoint_when_no_alpha_is_free():
+    # nu * n = 4 alphas end at their bound 1/4 and the rest at 0, so no free
+    # alpha pins rho: it lies midway between the bound and the zero alphas'
+    # gradients.
+    n = 10
+    points = np.abs(blob(Rng(1), (0.5, 0.5), 0.2, n))
+    model = ocsvm_fit(embedding_from(points), nu=0.4, gamma=1.0, sample_weights=np.ones(n))
+    np.testing.assert_allclose(model.alphas, np.full(4, 0.25), rtol=0, atol=1e-12)
+    grad = ocsvm_decision(model, points) + model.rho
+    is_sv = (points[:, None, :] == model.support_vectors[None, :, :]).all(axis=2).any(axis=1)
+    lo, hi = float(np.max(grad[is_sv])), float(np.min(grad[~is_sv]))
+    assert hi - lo > 0.03
+    assert model.rho == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
 
 def test_ocsvm_free_support_vectors_sit_on_margin():

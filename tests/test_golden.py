@@ -56,7 +56,7 @@ GOLDEN = {
     ),
     "ocsvm": (
         0.1,
-        "e69aeeaf1fc2595cecfa44943934a313f67a5eda4abcf379c4874fb0c4742b73",
+        "f1e03510bddba174d5ffef030bee0b0d7c23c8ffaa333cb8bf4edc767e2feba4",
         "57f905e09a716c0d64ad947d4690867577dbb1f719e71239e956fa2d044210e5",
         "f3a2f2f619b8844d27c7c5d2db442f5e8b4c44de86faa502dffb7602f64508d2",
     ),

@@ -9,6 +9,9 @@ and any other file by `csv.reader`, with the same values and messages.
 Rows have one write path: their cells are joined, with the bytes
 `csv.writer` would write, and a text cell that it would quote raises.
 
+Every record hands out read-only arrays, stored by `freeze_arrays`; a
+`WindowBatch` holds zero-copy views into its frame.
+
 Wire format: `Timestamp` column first (integer seconds, or ISO-8601 which is
 converted to epoch seconds), one decimal column per channel, and an optional
 trailing `Normal/Attack` column holding the tokens ``Normal`` or ``Attack``.
@@ -20,7 +23,7 @@ import contextlib
 import csv
 import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -66,9 +69,18 @@ class ChannelSchema:
         return len(self.names)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def freeze_arrays(record, **dtypes) -> None:
+    """Store each field of dataclass `record` annotated `np.ndarray` as a
+    read-only, C-ordered array of its dtype: float64 unless `dtypes` names
+    another. A 0-d value raises ValueError."""
+    for field in fields(record):
+        if field.type is np.ndarray:
+            dtype = dtypes.get(field.name, np.float64)
+            array = np.asarray(getattr(record, field.name), dtype=dtype, order="C")
+            if array.ndim == 0:
+                raise ValueError(f"{field.name} must be an array, not the scalar {array}")
+            array.flags.writeable = False
+            object.__setattr__(record, field.name, array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,15 +98,14 @@ class TimeSeriesFrame:
     labels: np.ndarray
 
     def __post_init__(self):
-        ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        labs = np.ascontiguousarray(self.labels, dtype=bool)
+        freeze_arrays(self, timestamps=np.int64, labels=bool)
+        ts, vals = self.timestamps, self.values
         if vals.ndim != 2 or vals.shape[1] != self.schema.channel_count:
             raise ValueError(
                 f"values shape {vals.shape} does not match "
                 f"{self.schema.channel_count} channels"
             )
-        if not (len(ts) == len(vals) == len(labs)):
+        if not (len(ts) == len(vals) == len(self.labels)):
             raise ValueError("timestamps, values and labels lengths differ")
         if len(ts) > 1:
             # Compared, not subtracted: a step past the int64 range would wrap.
@@ -109,9 +120,6 @@ class TimeSeriesFrame:
         finite = np.all(np.isfinite(vals), axis=1)
         if not np.all(finite):
             raise ValueError(f"non-finite value at row {int(np.argmin(finite)) + 1}")
-        object.__setattr__(self, "timestamps", _freeze(ts))
-        object.__setattr__(self, "values", _freeze(vals))
-        object.__setattr__(self, "labels", _freeze(labs))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -132,14 +140,11 @@ class MinMaxScaler:
     maxs: np.ndarray
 
     def __post_init__(self):
-        mins = np.ascontiguousarray(self.mins, dtype=np.float64)
-        maxs = np.ascontiguousarray(self.maxs, dtype=np.float64)
-        if mins.shape != maxs.shape or mins.ndim != 1:
+        freeze_arrays(self)
+        if self.mins.shape != self.maxs.shape or self.mins.ndim != 1:
             raise ValueError("mins and maxs must be matching 1-D arrays")
-        if np.any(maxs < mins):
+        if np.any(self.maxs < self.mins):
             raise ValueError("max < min for some channel")
-        object.__setattr__(self, "mins", _freeze(mins))
-        object.__setattr__(self, "maxs", _freeze(maxs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,8 +459,5 @@ def make_windows(frame: TimeSeriesFrame, w: int) -> WindowBatch:
     targets = frame.values[w:]
     start = int(frame.timestamps[0])
     target_indices = np.arange(w, len(frame), dtype=np.int64) + start
-    return WindowBatch(
-        inputs=inputs,
-        targets=targets,
-        target_indices=_freeze(target_indices),
-    )
+    target_indices.flags.writeable = False
+    return WindowBatch(inputs=inputs, targets=targets, target_indices=target_indices)

@@ -2,14 +2,16 @@
 
 Fixed threshold (attack iff error > beta*delta), weighted one-class SVM with
 an RBF kernel solved in the dual, and two-cluster k-means. Fitting mutates
-nothing shared; detection on a fitted model is pure and thread-safe.
+nothing shared. Fitted models and verdicts hold read-only arrays, so
+detection on a fitted model is pure and thread-safe, and each OC-SVM score
+depends on its own point alone, not on the frame it is scored in.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import FLOAT64, INT64, TOKEN, csv_text, read_csv, reject_rows
+from .dataio import FLOAT64, INT64, TOKEN, csv_text, freeze_arrays, read_csv, reject_rows
 from .errorspace import ErrorEmbedding, ErrorSeries
 from .rng import Rng, derive_seed
 
@@ -24,10 +26,10 @@ KKT_TOL = 1e-6
 WEIGHT_EPS = 1e-6
 SV_CUTOFF = 1e-12
 KMEANS_MAX_ITER = 300
-# Entries per block of kernel rows that the OC-SVM fit's first gradient and
-# the decision compute at once: a 256 KiB array, so a block's passes run in
-# cache. Each solver step computes its two rows, 2n entries, in one call.
-# Nothing holds an n x n or a points x support-vector kernel.
+# Entries per block of kernel rows that `_kernel_sums` computes at once: a
+# 256 KiB array, so a block's passes run in cache. Each solver step computes
+# its two rows, 2n entries, in one call. Nothing holds an n x n or a
+# points x support-vector kernel.
 KERNEL_BLOCK_ENTRIES = 1 << 15
 
 
@@ -49,9 +51,7 @@ class VerdictSeries:
     scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "flags", np.asarray(self.flags, dtype=bool))
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
+        freeze_arrays(self, indices=np.int64, flags=bool)
         if not len(self.indices) == len(self.flags) == len(self.scores):
             raise ValueError("verdict arrays must share one length")
 
@@ -94,8 +94,9 @@ class OcsvmModel:
     rho: float
 
     def __post_init__(self):
+        freeze_arrays(self)
         n = len(self.alphas)
-        if n == 0 or np.shape(self.support_vectors) != (n, 2) or np.shape(self.alphas) != (n,):
+        if n == 0 or self.support_vectors.shape != (n, 2) or self.alphas.shape != (n,):
             raise ValueError("one-class SVM needs n >= 1 2-D support vectors with one alpha each")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
@@ -127,6 +128,19 @@ def _rbf(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * ||a_i - b_j||^2) for 2-D row sets a, b."""
     return _rbf(_operand(a), _operand(b), gamma)
+
+
+def _kernel_sums(points: np.ndarray, support: np.ndarray, weights: np.ndarray,
+                 gamma: float) -> np.ndarray:
+    """sum_i weights_i K(support_i, p) for each point p of the operands, taken
+    along p's own kernel row by einsum's loop (never a BLAS product), so its
+    bits do not depend on which other points share the call."""
+    block = max(1, KERNEL_BLOCK_ENTRIES // len(weights))
+    sums = np.empty(points.shape[1])
+    for lo in range(0, len(sums), block):
+        k = _rbf(points[:, lo : lo + block], support, gamma)
+        sums[lo : lo + block] = np.einsum("ij,j->i", k, weights)
+    return sums
 
 
 def default_weights(embedding: ErrorEmbedding) -> np.ndarray:
@@ -165,7 +179,6 @@ def ocsvm_fit(
 
     upper = weights / (nu * n * float(np.mean(weights)))
     operand = _operand(points)
-    block = max(1, KERNEL_BLOCK_ENTRIES // n)
 
     # Greedy feasible start: fill boxes in order until the unit mass is spent.
     alpha = np.zeros(n)
@@ -177,13 +190,9 @@ def ocsvm_fit(
         if remaining <= 0.0:
             break
 
-    # K alpha as the alpha-weighted sum of the kernel rows whose alpha is not
-    # 0: the kernel is exactly symmetric, and only rows are ever computed.
-    grad = np.zeros(n)
+    # K alpha, summed over the points whose alpha is not 0.
     nonzero = np.flatnonzero(alpha)
-    for start in range(0, len(nonzero), block):
-        rows = nonzero[start : start + block]
-        grad += alpha[rows] @ _rbf(operand[:, rows], operand, gamma)
+    grad = _kernel_sums(operand, operand[:, nonzero], alpha[nonzero], gamma)
     max_iter = 10 * n
     violation = np.inf
     for _ in range(max_iter):
@@ -229,15 +238,10 @@ def ocsvm_fit(
 
 
 def ocsvm_decision(model: OcsvmModel, points: np.ndarray) -> np.ndarray:
-    """Signed decision values: sum_i alpha_i K(sv_i, x) - rho."""
-    operand = _operand(points)
+    """Signed decision values: sum_i alpha_i K(sv_i, x) - rho, each a
+    function of its own point alone."""
     support = _operand(model.support_vectors)
-    block = max(1, KERNEL_BLOCK_ENTRIES // len(model.alphas))
-    sums = np.empty(operand.shape[1])
-    for lo in range(0, len(sums), block):
-        k = _rbf(operand[:, lo : lo + block], support, model.gamma)
-        sums[lo : lo + block] = k @ model.alphas
-    return sums - model.rho
+    return _kernel_sums(_operand(points), support, model.alphas, model.gamma) - model.rho
 
 
 def ocsvm_detect(model: OcsvmModel, embedding: ErrorEmbedding) -> VerdictSeries:
@@ -259,7 +263,8 @@ class KmeansModel:
     inertia_trace: np.ndarray
 
     def __post_init__(self):
-        if np.shape(self.centroids) != (2, 2) or self.attack_centroid_index not in (0, 1):
+        freeze_arrays(self)
+        if self.centroids.shape != (2, 2) or self.attack_centroid_index not in (0, 1):
             raise ValueError("k-means needs two 2-D centroids and an attack index of 0 or 1")
 
 

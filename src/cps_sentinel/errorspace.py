@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import FLOAT64, INT64, DataFormatError, _freeze, csv_text, read_csv, reject_rows
+from .dataio import FLOAT64, INT64, DataFormatError, csv_text, freeze_arrays, read_csv, reject_rows
 from .rng import Rng, derive_seed
 
 ERROR_SERIES_HEADER = ("index", "error")
@@ -25,10 +25,7 @@ class ErrorSeries:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "errors", _freeze(np.asarray(self.errors, dtype=np.float64)))
-        object.__setattr__(
-            self, "target_indices", _freeze(np.asarray(self.target_indices, dtype=np.int64))
-        )
+        freeze_arrays(self, target_indices=np.int64)
         if self.errors.ndim != 1 or self.errors.shape != self.target_indices.shape:
             raise ValueError("errors and target_indices must be equal-length 1-D arrays")
         if len(self.errors) == 0:
@@ -54,13 +51,7 @@ class ErrorEmbedding:
     synthetic_flags: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _freeze(np.asarray(self.points, dtype=np.float64)))
-        object.__setattr__(
-            self, "point_indices", _freeze(np.asarray(self.point_indices, dtype=np.int64))
-        )
-        object.__setattr__(
-            self, "synthetic_flags", _freeze(np.asarray(self.synthetic_flags, dtype=bool))
-        )
+        freeze_arrays(self, point_indices=np.int64, synthetic_flags=bool)
         n = len(self.points)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be an (N, 2) array")

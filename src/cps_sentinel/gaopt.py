@@ -64,17 +64,13 @@ DEFAULT_GENOME = PipelineSettings()
 
 
 def random_genome(
-    rng: Rng,
-    domains: dict[str, GeneSpec] | None = None,
-    base: PipelineSettings | None = None,
+    rng: Rng, domains: dict[str, GeneSpec], base: PipelineSettings
 ) -> PipelineSettings:
     """Sample every gene named in `domains`; the rest copy `base`.
 
     A restricted `domains` mapping therefore searches a subspace around a
     fixed genome (for example tuning beta alone).
     """
-    domains = GENE_DOMAINS if domains is None else domains
-    base = DEFAULT_GENOME if base is None else base
     return replace(base, **{name: spec.sample(rng) for name, spec in domains.items()})
 
 
@@ -87,10 +83,9 @@ def crossover(rng: Rng, a: PipelineSettings, b: PipelineSettings) -> PipelineSet
 
 
 def mutate(
-    rng: Rng, genome: PipelineSettings, rate: float, domains: dict[str, GeneSpec] | None = None
+    rng: Rng, genome: PipelineSettings, rate: float, domains: dict[str, GeneSpec]
 ) -> PipelineSettings:
     """Resample each gene named in `domains` with probability `rate`."""
-    domains = GENE_DOMAINS if domains is None else domains
     changed = {}
     for name, spec in domains.items():
         if rng.uniform() < rate:
@@ -232,7 +227,7 @@ def evolve(
     rng = Rng(derive_seed(config.seed, 0x6A))
 
     genomes = [default_genome]
-    genomes += [random_genome(rng, domains, base=default_genome)
+    genomes += [random_genome(rng, domains, default_genome)
                 for _ in range(config.population_size - 1)]
     fits = _fitness(genomes, evaluator, threads)
 

@@ -1,6 +1,6 @@
 """Confusion-matrix metrics for per-timestep binary verdicts (attack = positive)."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,16 +59,6 @@ def score(verdicts: VerdictSeries, labels: np.ndarray) -> tuple[ConfusionCounts,
 
 
 def report_text(counts: ConfusionCounts, report: MetricsReport) -> str:
-    """Flat key-value block, one metric per line."""
-    lines = [
-        f"tp {counts.tp}",
-        f"fp {counts.fp}",
-        f"tn {counts.tn}",
-        f"fn {counts.fn}",
-        f"accuracy {repr(report.accuracy)}",
-        f"precision {repr(report.precision)}",
-        f"recall {repr(report.recall)}",
-        f"f1 {repr(report.f1)}",
-    ]
-    return "\n".join(lines) + "\n"
-
+    """Flat key-value block: each count, then each metric, one per line as its repr."""
+    values = asdict(counts) | asdict(report)
+    return "".join(f"{name} {value!r}\n" for name, value in values.items())

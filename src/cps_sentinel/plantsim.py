@@ -106,15 +106,9 @@ class AttackSpec:
             if stage < 0:
                 raise FieldError("target stage must be >= 0", "targets")
         stages = {s for s, _ in self.targets}
-        multi_stage = len(stages) > 1
-        per_stage_multi = len(self.targets) > len(stages)
-        expected = {
-            SSSP: (False, False),
-            SSMP: (False, True),
-            MSSP: (True, False),
-            MSMP: (True, True),
-        }[self.category]
-        if (multi_stage, per_stage_multi) != expected:
+        stage_kind = "MS" if len(stages) > 1 else "SS"
+        point_kind = "MP" if len(self.targets) > len(stages) else "SP"
+        if self.category != stage_kind + point_kind:
             raise FieldError(
                 f"targets {self.targets} do not match category {self.category}",
                 "targets", "category",

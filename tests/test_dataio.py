@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from cps_sentinel.dataio import (
     make_windows,
     save_csv,
 )
+from cps_sentinel.detectors import align_to_series, kmeans_fit, ocsvm_detect, ocsvm_fit
+from cps_sentinel.errorspace import augment, compute_errors, embed
+from cps_sentinel.plantsim import PlantConfig, simulate_normal
 from cps_sentinel.rng import Rng
 
 from conftest import make_frame, random_frame
@@ -234,6 +239,48 @@ def test_make_windows_covers_every_target_once():
 def test_make_windows_too_short():
     with pytest.raises(ValueError, match="at least"):
         make_windows(random_frame(5, 1), 5)
+
+
+# The dtype of each record array field that is not float64.
+FIELD_DTYPES = {"timestamps": np.int64, "labels": bool, "target_indices": np.int64,
+                "point_indices": np.int64, "synthetic_flags": bool, "indices": np.int64,
+                "flags": bool}
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One record of each class that holds arrays, built by the package."""
+    raw = simulate_normal(PlantConfig(seed=1), 200)
+    scaler = fit_minmax(raw)
+    frame = apply_minmax(scaler, raw)
+    windows = make_windows(frame, 4)
+    series = compute_errors(windows.inputs[:, -1, :], windows.targets, windows.target_indices)
+    embedding = augment(embed(series), series.delta, series.sigma)
+    ocsvm = ocsvm_fit(embedding, nu=0.1, gamma=10.0)
+    verdicts = align_to_series(ocsvm_detect(ocsvm, embed(series, lag=2)), series)
+    return [raw, scaler, series, embedding, verdicts, ocsvm, kmeans_fit(embedding)]
+
+
+def test_records_hold_read_only_c_ordered_arrays_of_their_dtype(records):
+    assert len({type(record) for record in records}) == 7
+    for record in records:
+        for field in fields(record):
+            if field.type is not np.ndarray:
+                continue
+            array = getattr(record, field.name)
+            where = f"{type(record).__name__}.{field.name}"
+            assert not array.flags.writeable and array.flags.c_contiguous, where
+            assert array.dtype == FIELD_DTYPES.get(field.name, np.float64), where
+            with pytest.raises(ValueError, match=f"{field.name} must be an array"):
+                replace(record, **{field.name: array.flat[0]})
+
+
+def test_make_windows_are_read_only_views_of_the_frame():
+    frame = random_frame(20, 3)
+    batch = make_windows(frame, 4)
+    for array in (batch.inputs, batch.targets):
+        assert np.shares_memory(array, frame.values) and not array.flags.writeable
+    assert not batch.target_indices.flags.writeable
 
 
 def test_schema_validation():

@@ -331,6 +331,14 @@ def test_ocsvm_solution_does_not_depend_on_point_order():
     assert decisions_a[1] < 0 and decisions_b[1] < 0
 
 
+def test_ocsvm_scores_a_point_alone_as_in_a_frame():
+    """A point's score has the same bits whichever frame it is scored in."""
+    model = ocsvm_fit(embedding_from(fit_points(1500)), nu=0.1, gamma=3.0)
+    probes = np.abs(blob(Rng(16), (0.05, 0.05), 0.06, 1000))
+    alone = [ocsvm_decision(model, probe[None])[0] for probe in probes]
+    assert ocsvm_decision(model, probes).tolist() == alone
+
+
 def test_ocsvm_detect_flags_negative_decisions():
     rng = Rng(13)
     train = np.abs(blob(rng, (0.5, 0.5), 0.1, 100))

@@ -64,7 +64,7 @@ def test_default_genome_key_is_pinned():
 def test_genome_key_has_no_commas():
     rng = Rng(0)
     for _ in range(20):
-        assert "," not in random_genome(rng).key()
+        assert "," not in random_genome(rng, GENE_DOMAINS, DEFAULT_GENOME).key()
 
 
 def test_genes_are_the_pipeline_settings_fields():
@@ -102,7 +102,7 @@ def in_domains(genome: PipelineSettings) -> bool:
 def test_random_genome_stays_in_domains():
     rng = Rng(3)
     for _ in range(50):
-        assert in_domains(random_genome(rng))
+        assert in_domains(random_genome(rng, GENE_DOMAINS, DEFAULT_GENOME))
 
 
 def test_random_genome_restricted_domain_keeps_base_genes():
@@ -130,12 +130,12 @@ def test_crossover_takes_each_gene_from_a_parent():
 
 def test_mutate_rate_zero_is_identity():
     rng = Rng(6)
-    assert mutate(rng, DEFAULT_GENOME, rate=0.0) is DEFAULT_GENOME
+    assert mutate(rng, DEFAULT_GENOME, 0.0, GENE_DOMAINS) is DEFAULT_GENOME
 
 
 def test_mutate_rate_one_resamples_continuous_genes():
     rng = Rng(7)
-    mutated = mutate(rng, DEFAULT_GENOME, rate=1.0)
+    mutated = mutate(rng, DEFAULT_GENOME, 1.0, GENE_DOMAINS)
     assert mutated.beta != DEFAULT_GENOME.beta  # continuous, so a.s. different
     assert in_domains(mutated)
 

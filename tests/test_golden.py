@@ -56,7 +56,7 @@ GOLDEN = {
     ),
     "ocsvm": (
         0.1,
-        "f1e03510bddba174d5ffef030bee0b0d7c23c8ffaa333cb8bf4edc767e2feba4",
+        "dfd684e6bf3d6bd8e828724c01153d025229d8c0baeb099c729bdd305b859887",
         "57f905e09a716c0d64ad947d4690867577dbb1f719e71239e956fa2d044210e5",
         "f3a2f2f619b8844d27c7c5d2db442f5e8b4c44de86faa502dffb7602f64508d2",
     ),

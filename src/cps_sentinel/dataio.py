@@ -72,7 +72,9 @@ class ChannelSchema:
 def freeze_arrays(record, **dtypes) -> None:
     """Store each field of dataclass `record` annotated `np.ndarray` as a
     read-only, C-ordered array of its dtype: float64 unless `dtypes` names
-    another. A 0-d value raises ValueError."""
+    another. A 0-d value raises ValueError. The record takes ownership of an
+    array that needs no conversion, without a copy: the caller's array
+    becomes read-only."""
     for field in fields(record):
         if field.type is np.ndarray:
             dtype = dtypes.get(field.name, np.float64)

@@ -18,10 +18,14 @@ from ..rng import Rng
 TANH, SIGMOID = "tanh", "sigmoid"
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate_in_place(name: str, z: np.ndarray) -> np.ndarray:
+    """z's activation written into z, with the bits of np.tanh(z) or 1/(1+exp(-z))."""
     if name == TANH:
-        return np.tanh(z)
-    return 1.0 / (1.0 + np.exp(-z))
+        return np.tanh(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def _activate_grad(name: str, a: np.ndarray) -> np.ndarray:
@@ -66,15 +70,16 @@ class Conv1DLayer:
     def forward(self, x, training=False, rng=None):
         k, f = self.kernel_size, self.filters
         cols = self._im2col(x)
-        z = cols @ self.weights.reshape(k * self.in_ch, f) + self.bias
-        y = np.maximum(z, 0.0)
-        return y, (cols, z)
+        y = cols @ self.weights.reshape(k * self.in_ch, f)
+        y += self.bias
+        return np.maximum(y, 0.0, out=y), (cols, y)
 
     def backward(self, dy, cache, input_grad=True):
-        cols, z = cache
+        cols, y = cache
         k, f = self.kernel_size, self.filters
-        # The ReLU subgradient as a bool mask, which multiplies as 1.0 or 0.0.
-        dz = dy * (z > 0.0)
+        # The ReLU subgradient as a bool mask, which multiplies as 1.0 or 0.0;
+        # y = max(z, 0) is positive exactly where z is, NaN included.
+        dz = dy * (y > 0.0)
         flat_cols = cols.reshape(-1, k * self.in_ch)
         flat_dz = dz.reshape(-1, f)
         dw = (flat_cols.T @ flat_dz).reshape(k, self.in_ch, f)
@@ -141,8 +146,9 @@ class DenseLayer:
     def forward(self, x, training=False, rng=None):
         shape = x.shape
         x = x.reshape(shape[0], self.weights.shape[0])
-        z = x @ self.weights + self.bias
-        a = _activate(self.activation, z)
+        a = x @ self.weights
+        a += self.bias
+        _activate_in_place(self.activation, a)
         mask = None
         rate = self.dropout
         if training and rate > 0.0:

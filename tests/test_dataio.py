@@ -275,6 +275,20 @@ def test_records_hold_read_only_c_ordered_arrays_of_their_dtype(records):
                 replace(record, **{field.name: array.flat[0]})
 
 
+def test_a_record_takes_ownership_of_an_array_it_is_given():
+    """No defensive copy: a float64, C-ordered input becomes the record's
+    field itself, so the caller's array turns read-only."""
+    a = np.zeros(3)
+    scaler = MinMaxScaler(mins=a, maxs=a + 1)
+    assert scaler.mins is a and not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 1.0
+    # An input that needs a conversion is copied, and the caller's stays writable.
+    b = np.zeros(3, dtype=np.float32)
+    MinMaxScaler(mins=b, maxs=b + 1)
+    b[0] = 1.0
+
+
 def test_make_windows_are_read_only_views_of_the_frame():
     frame = random_frame(20, 3)
     batch = make_windows(frame, 4)

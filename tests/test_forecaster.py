@@ -18,9 +18,11 @@ from cps_sentinel.forecaster import (
     train,
 )
 from cps_sentinel.forecaster.layers import (
+    SIGMOID,
     Conv1DLayer,
     DenseLayer,
     MaxPool1DLayer,
+    _activate_in_place,
 )
 from cps_sentinel.dataio import make_windows
 from cps_sentinel.pipeline import PipelineSettings, build_forecaster
@@ -213,6 +215,44 @@ def test_loss_and_grads_match_the_full_backward_oracle(stack, training):
         assert len(grads) == len(want_grads) == len(model.params)
         for got, want in zip(grads, want_grads):
             assert bits(got).tobytes() == bits(want).tobytes()
+
+
+def test_in_place_activations_have_the_bits_of_the_textbook_formulas():
+    """Signed zeros, subnormal-scale values, saturation and exp overflow."""
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0])
+    draw = np.random.default_rng(11)
+    for z in (special, np.concatenate([special, draw.normal(scale=5.0, size=1021)]),
+              signed_draw(draw, (37, 13))):
+        with np.errstate(over="ignore"):
+            want = {TANH: np.tanh(z), SIGMOID: 1.0 / (1.0 + np.exp(-z))}
+            for name in (TANH, SIGMOID):
+                a = z.copy()
+                assert _activate_in_place(name, a) is a
+                np.testing.assert_array_equal(bits(a), bits(want[name]))
+
+
+def test_conv_backward_from_the_relu_output_equals_backward_from_z():
+    """The cache holds y = max(z, 0); y > 0 is z > 0 for every value, NaN
+    and the infinities included, so every gradient keeps its bytes."""
+    z = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
+    np.testing.assert_array_equal(np.maximum(z, 0.0) > 0.0, z > 0.0)
+    draw = np.random.default_rng(12)
+    for k, ch, filters in ((3, 2, 4), (5, 8, 16), (2, 3, 1)):
+        layer = Conv1DLayer(ch, filters, k, Rng(k))
+        layer.weights[...] = signed_draw(draw, layer.weights.shape)
+        layer.bias[...] = signed_draw(draw, layer.bias.shape)
+        x = signed_draw(draw, (6, 12, ch))
+        # An all-zero window makes z the bias, which holds a 0.0 and a -0.0.
+        x[0] = 0.0
+        layer.bias[0], layer.bias[-1] = 0.0, -0.0
+        y, (cols, relu) = layer.forward(x)
+        pre_relu = cols @ layer.weights.reshape(k * ch, filters) + layer.bias
+        assert relu is y and np.any(pre_relu < 0.0) and np.any(pre_relu == 0.0)
+        dy = signed_draw(draw, y.shape)
+        got_dx, got = layer.backward(dy, (cols, relu))
+        want_dx, want = layer.backward(dy, (cols, pre_relu))
+        for g, w in zip([got_dx, *got], [want_dx, *want]):
+            assert bits(g).tobytes() == bits(w).tobytes()
 
 
 def test_dense_reads_a_sequence_as_its_flattened_reshape():
@@ -587,6 +627,41 @@ def test_predict_series_chunking_is_transparent(monkeypatch):
     monkeypatch.setattr(fm, "PREDICT_CHUNK", 4)
     chunked, _ = predict_series(model, frame)
     np.testing.assert_array_equal(whole, chunked)
+
+
+# GA-shaped stacks: window, channels, filters, kernel, dense units.
+GA_STACKS = {
+    "w8 c3 k3": (8, 3, (16, 32), 3, (32, 16)),
+    "w12 c8 k5": (12, 8, (32, 64), 5, (16, 128)),
+    "w24 c5 k7": (24, 5, (64, 16), 7, (128, 64)),
+}
+# For an output layer of 3 or fewer units, OpenBLAS gives some rows of a
+# 2-, 3- or 5-row product other last bits than in a taller one; chunk sizes
+# that are multiples of 4 keep them. Other BLAS builds may not differ.
+TINY_CHUNK_DIFFERS = pytest.mark.xfail(
+    raises=AssertionError, reason="3 output units: a 2-window chunk changes last bits")
+
+
+@pytest.mark.parametrize("stack, chunk", [
+    *[(name, chunk) for name in GA_STACKS for chunk in ("default", "n - 1")],
+    pytest.param("w8 c3 k3", "2", marks=TINY_CHUNK_DIFFERS),
+    ("w12 c8 k5", "2"),
+    ("w24 c5 k7", "2"),
+])
+def test_a_forecast_has_the_same_bits_in_every_chunk(monkeypatch, stack, chunk):
+    """predict_series equals one whole-frame forward bit for bit: a single
+    leftover window joins the chunk before it instead of taking BLAS's
+    one-row path, which n - 1 windows a chunk would leave it."""
+    import cps_sentinel.forecaster.model as fm
+
+    w, channels, filters, kernel, dense = GA_STACKS[stack]
+    n = 2 * fm.PREDICT_CHUNK + 1
+    frame = random_frame(n + w, channels, seed=w)
+    model = build_model(w, channels, default_stack(channels, filters, kernel, dense), seed=w)
+    whole = model.forward(make_windows(frame, w).inputs)
+    size = {"default": fm.PREDICT_CHUNK, "n - 1": n - 1, "2": 2}[chunk]
+    monkeypatch.setattr(fm, "PREDICT_CHUNK", size)
+    np.testing.assert_array_equal(predict_series(model, frame)[0], whole)
 
 
 def layout(model):

@@ -208,7 +208,7 @@ def _read_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
         return verdicts.indices, verdicts.flags
     if header[-1] == LABEL_COLUMN:
         frame = load_csv(path, infer_schema(path))
-        return frame.timestamps.copy(), frame.labels.copy()
+        return frame.timestamps, frame.labels
     raise DataFormatError(
         f"{path}: expected a verdict CSV or a data CSV with a {LABEL_COLUMN!r} column"
     )

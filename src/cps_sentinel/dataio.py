@@ -128,7 +128,8 @@ class TimeSeriesFrame:
 
     def labels_at(self, indices: np.ndarray) -> np.ndarray:
         """Labels for absolute timesteps (positions relative to first row)."""
-        rows = np.asarray(indices, dtype=np.int64) - int(self.timestamps[0])
+        first = int(self.timestamps[0]) if len(self) else 0
+        rows = np.asarray(indices, dtype=np.int64) - first
         if np.any(rows < 0) or np.any(rows >= len(self)):
             raise ValueError("index outside frame")
         return self.labels[rows]

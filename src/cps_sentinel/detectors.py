@@ -231,8 +231,8 @@ def ocsvm_fit(
     keep = alpha > SV_CUTOFF
     return OcsvmModel(
         gamma=gamma,
-        support_vectors=points[keep].copy(),
-        alphas=alpha[keep].copy(),
+        support_vectors=points[keep],
+        alphas=alpha[keep],
         rho=rho,
     )
 
@@ -279,7 +279,7 @@ def _kmeans_pp_init(points: np.ndarray, rng: Rng) -> np.ndarray:
     target = rng.uniform() * total
     second = int(np.searchsorted(np.cumsum(d2), target, side="right"))
     second = min(second, n - 1)
-    return np.stack([points[first], points[second]]).astype(np.float64)
+    return np.stack([points[first], points[second]])
 
 
 def kmeans_fit(embedding: ErrorEmbedding, seed: int = 0) -> KmeansModel:
@@ -300,7 +300,6 @@ def kmeans_fit(embedding: ErrorEmbedding, seed: int = 0) -> KmeansModel:
 
     assignments = np.full(len(points), -1)
     trace = []
-    n_iter = 0
     d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     for n_iter in range(1, KMEANS_MAX_ITER + 1):
         new_assignments = np.argmin(d2, axis=1)
@@ -323,7 +322,7 @@ def kmeans_fit(embedding: ErrorEmbedding, seed: int = 0) -> KmeansModel:
     inertia = float(np.sum(np.min(d2, axis=1)))
     attack = int(np.argmax(np.sum(centroids, axis=1)))
     return KmeansModel(
-        centroids=centroids.copy(),
+        centroids=centroids,
         attack_centroid_index=attack,
         inertia=inertia,
         n_iter=n_iter,

@@ -49,10 +49,6 @@ class Conv1DLayer:
         self.weights = glorot_uniform(rng, (k, in_ch, f), fan_in=k * in_ch, fan_out=k * f)
         self.bias = np.zeros(f)
 
-    @property
-    def params(self):
-        return [self.weights, self.bias]
-
     def _im2col(self, x: np.ndarray) -> np.ndarray:
         """The (B, L, k*C) im2col matrix of the same-padded input, as a
         zero-copy, overlapping, read-only view: row t is the k taps t..t+k-1
@@ -109,20 +105,15 @@ class MaxPool1DLayer:
     def __init__(self, in_len: int, in_ch: int):
         self.in_len, self.in_ch = in_len, in_ch
 
-    @property
-    def params(self):
-        return []
-
     def forward(self, x, training=False, rng=None):
         xr = x.reshape(x.shape[0], self.in_len // 2, 2, self.in_ch)
-        a, c = xr[:, :, 0, :], xr[:, :, 1, :]
-        # np.maximum, not np.where(first, a, c): on a -0.0/0.0 tie it returns
-        # the later value, as np.max over the pair does.  The mask routes the
-        # gradient to the first of two equal values, as argmax does.
-        return np.maximum(a, c), a >= c
+        # np.maximum, not np.where(a >= c, a, c): on a -0.0/0.0 tie it returns
+        # the later value, as np.max over the pair does.
+        return np.maximum(xr[:, :, 0, :], xr[:, :, 1, :]), xr
 
     def backward(self, dy, cache, input_grad=True):
-        first = cache
+        # The gradient goes to the first of two equal values, as argmax does.
+        first = cache[:, :, 0, :] >= cache[:, :, 1, :]
         dxr = np.empty((dy.shape[0], self.in_len // 2, 2, self.in_ch))
         dxr[:, :, 0, :] = np.where(first, dy, 0.0)
         dxr[:, :, 1, :] = np.where(first, 0.0, dy)
@@ -138,10 +129,6 @@ class DenseLayer:
         self.activation, self.dropout = activation, dropout
         self.weights = glorot_uniform(rng, (in_features, units), fan_in=in_features, fan_out=units)
         self.bias = np.zeros(units)
-
-    @property
-    def params(self):
-        return [self.weights, self.bias]
 
     def forward(self, x, training=False, rng=None):
         shape = x.shape

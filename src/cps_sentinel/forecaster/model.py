@@ -103,28 +103,36 @@ class CnnModel:
     def __init__(self, input_shape: tuple[int, int], layers: list):
         self.input_shape = input_shape
         self.layers = layers
-        tensors = [p for layer in layers for p in layer.params]
+        weighted = [layer for layer in layers if hasattr(layer, "weights")]
+        tensors = [p for layer in weighted for p in (layer.weights, layer.bias)]
         offsets = np.cumsum([p.size for p in tensors])[:-1]
         self.flat_params = np.concatenate([p.ravel() for p in tensors])
         self.flat_adam_m = np.zeros_like(self.flat_params)
         self.flat_adam_v = np.zeros_like(self.flat_params)
         chunks = np.split(self.flat_params, offsets)
         self.params = [v.reshape(p.shape) for v, p in zip(chunks, tensors)]
-        shared = iter(self.params)
-        for layer in layers:
-            if layer.params:
-                layer.weights, layer.bias = next(shared), next(shared)
+        for i, layer in enumerate(weighted):
+            layer.weights, layer.bias = self.params[2 * i : 2 * i + 2]
         self.adam_t = 0
 
     def forward(self, windows: np.ndarray) -> np.ndarray:
         """Predict the next reading for each window of a (B, w, C) batch."""
+        return self._forward(windows)
+
+    def _forward(self, windows, training=False, rng=None, caches=None) -> np.ndarray:
+        """The layers' forward passes over a (B, w, C) batch. Each layer's
+        backward cache is appended to `caches` if one is given, and otherwise
+        dropped before the next layer runs."""
         x = np.asarray(windows, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ValueError(
                 f"window shape {x.shape[1:]} does not match model input {self.input_shape}"
             )
         for layer in self.layers:
-            x, _ = layer.forward(x)
+            x, cache = layer.forward(x, training=training, rng=rng)
+            if caches is not None:
+                caches.append(cache)
+            del cache
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite forecaster output: parameters blew up")
         return x
@@ -140,16 +148,9 @@ class CnnModel:
 
         Dropout masks drawn in this forward pass are the ones backpropagated.
         """
-        x = np.asarray(windows, dtype=np.float64)
-        y = np.asarray(targets, dtype=np.float64)
         caches = []
-        out = x
-        for layer in self.layers:
-            out, cache = layer.forward(out, training=training, rng=rng)
-            caches.append(cache)
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("non-finite forecaster output: parameters blew up")
-        diff = out - y
+        out = self._forward(windows, training, rng, caches)
+        diff = out - np.asarray(targets, dtype=np.float64)
         loss = float(np.mean(np.abs(diff)))
         # d mean|x| / dx, with the subgradient at 0 taken as 0
         dy = np.sign(diff) / diff.size

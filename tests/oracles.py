@@ -5,12 +5,13 @@ gradient descent, a completely different algorithm from the pairwise
 coordinate descent in the package, so agreement is evidence and not
 tautology. The plant simulator's reference is its former step loop, which
 draws one `gauss()` per reading. The forecaster's conv and max-pool passes,
-its loss gradient and `Rng.shuffle` are checked against their former
+its loss gradient and `Rng.shuffle` are checked against other
 implementations: an im2col copied out of `np.pad` and `sliding_window_view`,
-a scatter into a padded buffer, `np.stack` of the pool halves, a backward
-pass that forms every layer's input gradient, and a Fisher-Yates loop that
-calls `randint` per element. The CSV codec's reference is its `csv.reader`
-and `csv.writer` code, which parses and writes every file.
+a scatter into a padded buffer, a pool gradient routed by `np.argmax` over
+each pair, a backward pass that forms every layer's input gradient, and a
+Fisher-Yates loop that calls `randint` per element. The CSV codec's
+reference is its `csv.reader` and `csv.writer` code, which parses and writes
+every file.
 """
 
 import csv
@@ -154,8 +155,11 @@ def conv_backward(layer, dy, cache):
     return dx, [dw, db]
 
 
-def maxpool_backward(layer, dy, first):
-    dxr = np.stack((np.where(first, dy, 0.0), np.where(first, 0.0, dy)), axis=2)
+def maxpool_backward(layer, dy, x):
+    """Each output's gradient goes to the `np.argmax` of its pair of inputs."""
+    xr = x.reshape(dy.shape[0], layer.in_len // 2, 2, layer.in_ch)
+    dxr = np.zeros_like(xr)
+    np.put_along_axis(dxr, np.argmax(xr, axis=2)[:, :, None, :], dy[:, :, None, :], axis=2)
     return dxr.reshape(dy.shape[0], layer.in_len, layer.in_ch), []
 
 
@@ -167,6 +171,9 @@ def loss_and_grads(model, windows, targets, training=False, rng=None):
     for layer in model.layers:
         if isinstance(layer, Conv1DLayer):
             out, cache = conv_forward(layer, out)
+        elif isinstance(layer, MaxPool1DLayer):
+            cache = out
+            out, _ = layer.forward(out)
         else:
             out, cache = layer.forward(out, training=training, rng=rng)
         caches.append(cache)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -617,7 +618,16 @@ def test_detect_rejects_a_broken_artifact_in_one_line(workspace, tmp_path, capsy
     assert message in err
 
 
-@pytest.mark.parametrize("content", [b"", b"not an artifact\n", b"PK\x03\x04truncated"])
+def npz_bytes(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("content", [
+    b"", b"not an artifact\n", b"PK\x03\x04truncated",
+    pytest.param(npz_bytes(params=np.zeros(3)), id="no meta member"),
+])
 def test_detect_rejects_a_file_that_is_not_an_artifact(workspace, tmp_path, capsys, content):
     bad = tmp_path / "bad.npz"
     bad.write_bytes(content)

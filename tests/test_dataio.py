@@ -144,6 +144,13 @@ def test_frame_rejects_bad_shapes():
         )
     with pytest.raises(ValueError, match="non-finite"):
         make_frame([[np.nan, 1.0]])
+    with pytest.raises(ValueError, match="lengths differ"):
+        TimeSeriesFrame(
+            schema=TWO_CH,
+            timestamps=np.arange(2),
+            values=np.zeros((2, 2)),
+            labels=np.zeros(3, dtype=bool),
+        )
 
 
 def test_labels_at_maps_absolute_timesteps():
@@ -153,6 +160,8 @@ def test_labels_at_maps_absolute_timesteps():
     )
     with pytest.raises(ValueError, match="outside"):
         frame.labels_at(np.array([99]))
+    with pytest.raises(ValueError, match="index outside frame"):
+        make_frame(np.empty((0, 1))).labels_at(np.array([3]))
 
 
 def test_fit_minmax_simple_and_constant():
@@ -160,6 +169,8 @@ def test_fit_minmax_simple_and_constant():
     scaler = fit_minmax(frame)
     np.testing.assert_array_equal(scaler.mins, [0.0, 4.0])
     np.testing.assert_array_equal(scaler.maxs, [10.0, 4.0])
+    with pytest.raises(ValueError, match="empty frame"):
+        fit_minmax(make_frame(np.empty((0, 2))))
 
 
 def test_fit_minmax_matches_brute_force():
@@ -239,6 +250,8 @@ def test_make_windows_covers_every_target_once():
 def test_make_windows_too_short():
     with pytest.raises(ValueError, match="at least"):
         make_windows(random_frame(5, 1), 5)
+    with pytest.raises(ValueError, match="window length must be positive"):
+        make_windows(random_frame(5, 1), 0)
 
 
 # The dtype of each record array field that is not float64.

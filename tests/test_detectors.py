@@ -486,6 +486,22 @@ def test_kmeans_empty_cluster_reassignment():
         assert np.all(np.isfinite(model.inertia_trace))
 
 
+def test_kmeans_restarts_an_empty_cluster_at_the_point_farthest_from_the_other(monkeypatch):
+    # Both initial centroids lie at one distance from every point, so every
+    # point joins cluster 0. Cluster 1 restarts at the point farthest from
+    # cluster 0's new mean (0.5, 0): (-1, 0), the first of two at 1.5.
+    monkeypatch.setattr(detectors, "_kmeans_pp_init",
+                        lambda points, rng: np.array([[0.5, 1.0], [0.5, -1.0]]))
+    emb = embedding_from([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
+                         synthetic=[False, False, False, True])
+    model = kmeans_fit(emb, seed=0)
+    np.testing.assert_array_equal(model.centroids, [[1.0, 0.0], [-1.0, 0.0]])
+    nearest = np.argmin(((emb.points[:, None, :] - model.centroids) ** 2).sum(axis=2), axis=1)
+    assert nearest.tolist() == [1, 0, 0, 0]
+    assert model.n_iter == 2
+    assert model.inertia_trace.tolist() == [2.75, 2.0]  # non-increasing
+
+
 # --- shared helpers ----------------------------------------------------------
 
 
@@ -509,6 +525,11 @@ def test_align_to_series_rejects_verdicts_that_are_not_the_series_tail(indices):
     verdicts = VerdictSeries(indices=np.array(indices), flags=np.ones(n), scores=np.ones(n))
     with pytest.raises(ValueError, match="not the last steps of the error series"):
         align_to_series(verdicts, series)
+
+
+def test_verdict_arrays_must_share_one_length():
+    with pytest.raises(ValueError, match="share one length"):
+        VerdictSeries(indices=np.array([3, 4]), flags=np.array([True]), scores=np.zeros(2))
 
 
 def test_verdict_csv_format():

@@ -24,12 +24,12 @@ from cps_sentinel.forecaster.layers import (
     MaxPool1DLayer,
     _activate_in_place,
 )
-from cps_sentinel.dataio import make_windows
+from cps_sentinel.dataio import WindowBatch, make_windows
 from cps_sentinel.pipeline import PipelineSettings, build_forecaster
 from cps_sentinel.rng import Rng
 
 import oracles
-from conftest import SETTINGS, random_frame
+from conftest import SETTINGS, make_frame, random_frame
 
 SMALL_STACK = default_stack(2, conv_filters=(3, 2), dense_units=(4, 3), dropout=0.0)
 
@@ -132,11 +132,10 @@ def test_maxpool_matches_the_argmax_reference_bit_for_bit(activation):
         z = draw.choice(values, size=(16, 8, 3))
         x = {"relu": np.maximum(z, 0.0), "tanh": np.tanh(z), "none": z}[activation]
         dy = draw.choice(values, size=(16, 4, 3)) * draw.uniform(0.5, 2.0, size=(16, 4, 3))
-        want_y, idx, want_dx = reference_maxpool(x, dy, 2)
-        y, first = layer.forward(x)
-        dx, grads = layer.backward(dy, first)
+        want_y, _, want_dx = reference_maxpool(x, dy, 2)
+        y, cache = layer.forward(x)
+        dx, grads = layer.backward(dy, cache)
         np.testing.assert_array_equal(bits(y), bits(want_y))
-        np.testing.assert_array_equal(first, idx == 0)
         np.testing.assert_array_equal(bits(dx), bits(want_dx))
         assert grads == []
 
@@ -559,6 +558,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="validation_fraction"):
         TrainConfig(validation_fraction=1.0)
+    with pytest.raises(ValueError, match="learning_rate must be finite, not nan"):
+        TrainConfig(learning_rate=float("nan"))
 
 
 def test_train_reduces_loss_and_is_deterministic():
@@ -601,6 +602,21 @@ def test_train_rejects_degenerate_split():
                          early_stop_patience=1)
     with pytest.raises(ValueError, match="validation split"):
         train(build_model(4, 1, default_stack(1, (2, 2), 3, (2, 2)), seed=0), batch, config)
+    empty = WindowBatch(batch.inputs[:0], batch.targets[:0], batch.target_indices[:0])
+    with pytest.raises(ValueError, match="empty window batch"):
+        train(build_model(4, 1, default_stack(1, (2, 2), 3, (2, 2)), seed=0), empty, config)
+
+
+def test_train_raises_on_a_non_finite_validation_loss():
+    """The last target of both channels is 1e308: the validation MAE's sum
+    overflows, while no window reads that row as input."""
+    values = random_frame(40, 2, seed=1).values.copy()
+    values[-1] = 1e308
+    batch = make_windows(make_frame(values), 4)
+    config = TrainConfig(epochs=2, batch_size=8, early_stop_patience=2)
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
+                                                   match="non-finite validation loss"):
+        train(build_model(4, 2, SMALL_STACK, seed=0), batch, config)
 
 
 def test_predict_series_matches_per_window_forward():

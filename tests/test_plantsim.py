@@ -236,6 +236,11 @@ def test_attack_spec_validation():
         AttackSpec("SSSP", start=0, duration=5, targets=())
     with pytest.raises(ValueError, match="channel"):
         AttackSpec("SSSP", start=0, duration=5, targets=((0, "tank"),))
+    with pytest.raises(ValueError, match="target stage must be >= 0"):
+        AttackSpec("SSSP", start=0, duration=5, targets=((-1, "level"),))
+    with pytest.raises(ValueError, match="offset manipulation needs an amount"):
+        AttackSpec("SSSP", start=0, duration=5, targets=((0, "level"),),
+                   manipulation=("offset",))
     with pytest.raises(ValueError, match="actuator"):
         AttackSpec("SSSP", start=0, duration=5, targets=((0, "level"),),
                    manipulation=("force", 1))
@@ -337,6 +342,21 @@ def test_load_plant_config(tmp_path):
     assert attacks[0].manipulation == ("offset", 3.5)
     assert attacks[1].targets == ((0, "valve"), (1, "pump"))
     assert attacks[1].manipulation == ("force", 0)
+
+
+def test_load_plant_config_reads_an_explicit_freeze(tmp_path):
+    path = tmp_path / "plant.ini"
+    path.write_text(
+        "[plant]\n"
+        "[attack.1]\n"
+        "category = SSSP\n"
+        "start = 5\n"
+        "duration = 3\n"
+        "targets = 0:level\n"
+        "manipulation = freeze\n"
+    )
+    _, attacks = load_plant_config(path)
+    assert attacks[0].manipulation == ("freeze",)
 
 
 def test_load_plant_config_errors(tmp_path):

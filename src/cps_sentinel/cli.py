@@ -239,6 +239,7 @@ def _cmd_optimize(args):
     evaluator = make_evaluator(train_frame, validation_frame, run.ga_budget, seed=run.ga.seed)
     # The config's gene values are the default genome, the first individual.
     result = evolve(run.ga, evaluator, default_genome=run.settings, threads=run.threads)
+    evaluator.close()  # the GA's worker processes end before the winner trains
 
     best = result.best
     fitted = fit_pipeline(train_frame, best.genome, run.budget,

@@ -8,12 +8,17 @@ Tournament selection, uniform crossover, per-gene resample mutation, and
 elitism. Fitness is a pure function of the genome (per-genome seeds derive
 from the run seed and a genome digest), so results are cached by genome key
 and parallel evaluation cannot change the outcome.
+
+Each evaluator trains and scores genomes in its own forked worker processes,
+one per CPU (so Linux only), outside the GIL of the process that runs the GA.
 """
 
 import hashlib
 import logging
+import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,6 +148,24 @@ def _evaluate_raising(
     return report.f1
 
 
+_worker_inputs: tuple = ()
+
+
+def _start_worker(*inputs) -> None:
+    """Pool initializer: the evaluator's frames, budget and seed, kept in the worker."""
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _evaluate_in_worker(genome: PipelineSettings) -> float:
+    return _evaluate_raising(genome, *_worker_inputs)
+
+
+def _end_workers(pool) -> None:
+    # The collector may drop an evaluator on a pool thread, which cannot join itself.
+    pool.shutdown(wait=threading.current_thread() is threading.main_thread())
+
+
 def make_evaluator(
     train_frame: TimeSeriesFrame,
     validation_frame: TimeSeriesFrame,
@@ -151,8 +174,11 @@ def make_evaluator(
 ):
     """Caching, thread-safe fitness function for evolve().
 
-    The returned callable exposes `.cache` (genome key -> fitness) and
-    `.failures` (list of (genome key, reason) pairs).
+    The returned callable exposes `.cache` (genome key -> fitness),
+    `.failures` (list of (genome key, reason) pairs) and `.close()`, which
+    ends the worker processes (one per CPU, forked here) that score each
+    cache miss; dropping the evaluator ends them too. A worker that dies
+    raises ChildProcessError.
     """
     if np.any(train_frame.labels):
         raise ValueError("training frame contains attack-labeled rows")
@@ -161,6 +187,12 @@ def make_evaluator(
     cache: dict[str, float] = {}
     failures: list[tuple[str, str]] = []
     lock = threading.Lock()
+    import multiprocessing  # imported on first use: it costs every command's start-up
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(len(os.sched_getaffinity(0)), multiprocessing.get_context("fork"),
+                               _start_worker, (train_frame, validation_frame, budget, seed))
+    # A fork pool forks all its workers at its first task: here, in this thread.
+    pool.submit(int)
 
     def evaluator(genome: PipelineSettings) -> float:
         key = genome.key()
@@ -168,7 +200,11 @@ def make_evaluator(
             if key in cache:
                 return cache[key]
         try:
-            fitness = _evaluate_raising(genome, train_frame, validation_frame, budget, seed)
+            fitness = pool.submit(_evaluate_in_worker, genome).result()
+        except BrokenExecutor as exc:
+            with lock:  # a broken pool runs nothing more: reap its workers now
+                pool.shutdown()
+            raise ChildProcessError(f"a GA worker process died: {exc}") from exc
         except (ValueError, FloatingPointError, NonConvergence) as exc:
             logger.warning("genome %s failed: %s", key, exc)
             with lock:
@@ -180,6 +216,7 @@ def make_evaluator(
 
     evaluator.cache = cache
     evaluator.failures = failures
+    evaluator.close = weakref.finalize(evaluator, _end_workers, pool)
     return evaluator
 
 
@@ -217,7 +254,8 @@ def evolve(
     The initial population holds one copy of the default genome plus random
     genomes. All randomness comes from config.seed in the main thread, and
     fitness depends only on the genome, so runs on any number of threads
-    produce identical logs. `threads` None, 0 or 1 means one evaluation thread.
+    produce identical logs. `threads` genomes are evaluated at once (None, 0 or
+    1: one), at most one per worker process of a make_evaluator evaluator.
     """
     domains = GENE_DOMAINS if domains is None else domains
     default_genome = DEFAULT_GENOME if default_genome is None else default_genome

@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cps_sentinel import cli, dataio, plantsim
+from cps_sentinel import cli, dataio, gaopt, plantsim
 from cps_sentinel.cli import infer_schema, main
 from cps_sentinel.dataio import DataFormatError
 from cps_sentinel.detectors import KMEANS
@@ -824,6 +825,40 @@ def test_optimize_micro_run(workspace, tmp_path, capsys):
     assert len(log_lines) == 2 * 3  # (generations + 1) * population
     history = (tmp_path / "ga_history.csv").read_text().splitlines()
     assert history[0] == "generation,best,mean" and len(history) == 3
+
+
+def test_optimize_ends_its_ga_workers_before_training_the_winner(workspace, tmp_path,
+                                                                  monkeypatch):
+    cfg = tmp_path / "ga.ini"
+    cfg.write_text(micro_ga_ini(workspace, tmp_path, tmp_path))
+    before, fit_pipeline, seen = len(multiprocessing.active_children()), cli.fit_pipeline, []
+
+    def counted_fit(*args, **kwargs):
+        seen.append(len(multiprocessing.active_children()))
+        return fit_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_pipeline", counted_fit)
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    assert seen == [before]
+    assert len(multiprocessing.active_children()) == before
+
+
+def test_optimize_with_a_dead_ga_worker_exits_2_with_one_line(workspace, tmp_path, monkeypatch,
+                                                             capsys):
+    cfg = tmp_path / "ga.ini"
+    cfg.write_text(micro_ga_ini(workspace, tmp_path / "out", tmp_path / "out"))
+    (tmp_path / "out").mkdir()
+
+    def killed(genome, *args):
+        os._exit(3)
+
+    monkeypatch.setattr(gaopt, "_evaluate_raising", killed)
+    before = len(multiprocessing.active_children())
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cps-sentinel: a GA worker process died: ") and err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
+    assert len(multiprocessing.active_children()) == before
 
 
 def test_optimize_that_cannot_save_its_artifact_leaves_no_output(workspace, tmp_path, capsys):

@@ -1,11 +1,13 @@
 import logging
+import multiprocessing
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import cps_sentinel.gaopt as gaopt
-from cps_sentinel.detectors import KMEANS, THRESHOLD
+from cps_sentinel.detectors import DETECTOR_KINDS, KMEANS, THRESHOLD
 from cps_sentinel.forecaster import TrainConfig
 from cps_sentinel.gaopt import (
     DEFAULT_GENOME,
@@ -261,12 +263,13 @@ def test_a_window_the_stack_rejects_is_a_recorded_failure():
     assert reason == "the two pools of 2 need a window divisible by 4, not 10"
 
 
-def test_make_evaluator_caches_and_records_failures(monkeypatch):
+def test_make_evaluator_caches_and_records_failures(monkeypatch, tmp_path):
     train, validation = labeled_frames()
-    calls = []
+    calls = tmp_path / "calls"  # the stub runs in a worker process
 
     def stub(genome, train_frame, validation_frame, budget, base_seed):
-        calls.append(genome.key())
+        with open(calls, "a") as f:
+            f.write(genome.key() + "\n")
         if genome.window == 10:
             raise ValueError("stub failure")
         return 0.5
@@ -275,7 +278,7 @@ def test_make_evaluator_caches_and_records_failures(monkeypatch):
     evaluator = make_evaluator(train, validation)
     assert evaluator(DEFAULT_GENOME) == 0.5
     assert evaluator(DEFAULT_GENOME) == 0.5
-    assert len(calls) == 1  # second call served from the cache
+    assert len(calls.read_text().splitlines()) == 1  # second call served from the cache
     assert evaluator.cache[DEFAULT_GENOME.key()] == 0.5
 
     bad = PipelineSettings(window=10)
@@ -296,6 +299,58 @@ def test_make_evaluator_propagates_programming_errors(monkeypatch):
         evaluator(DEFAULT_GENOME)
     assert evaluator.cache == {}
     assert evaluator.failures == []
+
+
+def test_a_workers_fitness_has_the_callers_bits():
+    train, validation = labeled_frames(rows=80)
+    genomes = [PipelineSettings(window=8, conv1=16, conv2=16, dense1=16, dense2=16, beta=1.0,
+                                detector=d) for d in DETECTOR_KINDS] + [PipelineSettings(window=10)]
+    evaluator = make_evaluator(train, validation, seed=3)
+    for genome in genomes:
+        try:
+            expected, reason = gaopt._evaluate_raising(genome, train, validation, None, 3), None
+        except ValueError as exc:
+            expected, reason = 0.0, str(exc)
+        assert evaluator(genome) == expected
+        assert [r for k, r in evaluator.failures if k == genome.key()] == ([reason] if reason else [])
+    assert len(evaluator.failures) == 1
+    assert sorted(evaluator.cache.values())[-2] > 0.0  # threshold and OC-SVM flag some attacks
+
+
+def _children() -> int:
+    return len(multiprocessing.active_children())
+
+
+def test_no_worker_outlives_its_evaluator():
+    train, validation = labeled_frames()
+    before = _children()
+    evaluator = make_evaluator(train, validation)
+    assert _children() == before + len(os.sched_getaffinity(0))
+    del evaluator
+    assert _children() == before
+    evaluator = make_evaluator(train, validation)
+    evaluator.close()
+    assert _children() == before
+    evaluator.close()  # closing twice does nothing
+
+
+def test_a_dead_worker_raises_a_typed_error_and_records_nothing(monkeypatch):
+    train, validation = labeled_frames()
+
+    def stub(genome, train_frame, validation_frame, budget, base_seed):
+        os._exit(3)
+
+    monkeypatch.setattr(gaopt, "_evaluate_raising", stub)
+    before = _children()
+    evaluator = make_evaluator(train, validation)
+    with pytest.raises(ChildProcessError, match="a GA worker process died"):
+        evaluator(DEFAULT_GENOME)
+    with pytest.raises(ChildProcessError, match="a GA worker process died"):
+        evolve(SMALL_GA, evaluator, threads=2)
+    assert evaluator.cache == {}
+    assert evaluator.failures == []
+    evaluator.close()
+    assert _children() == before
 
 
 def test_an_out_of_domain_default_genome_is_trained_and_scored():

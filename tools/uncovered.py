@@ -15,7 +15,9 @@ statements that compile to no code (`global`, `nonlocal`, a bare annotation in
 a function) are not counted.
 
 Only this process is traced: code that the tests run in a subprocess, such as
-the demos and the CLI's subprocess tests, counts as never run.
+the demos and the CLI's subprocess tests, counts as never run. So does code
+run in the GA's worker processes (`gaopt._evaluate_in_worker` and all it
+calls), since a forked worker records its lines in its own memory.
 """
 
 import ast

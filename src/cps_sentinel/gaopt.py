@@ -16,6 +16,7 @@ one per CPU (so Linux only), outside the GIL of the process that runs the GA.
 import hashlib
 import logging
 import os
+import queue
 import threading
 import weakref
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
@@ -148,22 +149,18 @@ def _evaluate_raising(
     return report.f1
 
 
-_worker_inputs: tuple = ()
-
-
-def _start_worker(*inputs) -> None:
-    """Pool initializer: the evaluator's frames, budget and seed, kept in the worker."""
-    global _worker_inputs
-    _worker_inputs = inputs
+_worker_inputs: list = []  # in a worker, its evaluator's frames, budget and seed
 
 
 def _evaluate_in_worker(genome: PipelineSettings) -> float:
     return _evaluate_raising(genome, *_worker_inputs)
 
 
-def _end_workers(pool) -> None:
-    # The collector may drop an evaluator on a pool thread, which cannot join itself.
-    pool.shutdown(wait=threading.current_thread() is threading.main_thread())
+def _end_workers(pools) -> None:
+    # The collector may drop an evaluator on a pool's own thread, which cannot wait for itself.
+    here = threading.current_thread()
+    for pool in pools:
+        pool.shutdown(wait=here not in (pool._executor_manager_thread, pool._call_queue._thread))
 
 
 def make_evaluator(
@@ -176,9 +173,9 @@ def make_evaluator(
 
     The returned callable exposes `.cache` (genome key -> fitness),
     `.failures` (list of (genome key, reason) pairs) and `.close()`, which
-    ends the worker processes (one per CPU, forked here) that score each
-    cache miss; dropping the evaluator ends them too. A worker that dies
-    raises ChildProcessError.
+    ends its worker processes, one per CPU, forked here; dropping it does too.
+    A miss goes to the most recently idle worker, so n calls at once train in
+    at most n workers. A worker that dies raises ChildProcessError.
     """
     if np.any(train_frame.labels):
         raise ValueError("training frame contains attack-labeled rows")
@@ -189,34 +186,38 @@ def make_evaluator(
     lock = threading.Lock()
     import multiprocessing  # imported on first use: it costs every command's start-up
     from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(len(os.sched_getaffinity(0)), multiprocessing.get_context("fork"),
-                               _start_worker, (train_frame, validation_frame, budget, seed))
-    # A fork pool forks all its workers at its first task: here, in this thread.
-    pool.submit(int)
+    pools, idle, inputs = [], queue.LifoQueue(), [train_frame, validation_frame, budget, seed]
+    for _ in os.sched_getaffinity(0):
+        pools.append(ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
+                                         _worker_inputs.extend, (inputs,)))
+        pools[-1].submit(int).result()  # forks now, in this thread, while older pools idle
+        idle.put(pools[-1])
 
     def evaluator(genome: PipelineSettings) -> float:
         key = genome.key()
         with lock:
             if key in cache:
                 return cache[key]
+        pool = idle.get()
         try:
             fitness = pool.submit(_evaluate_in_worker, genome).result()
-        except BrokenExecutor as exc:
-            with lock:  # a broken pool runs nothing more: reap its workers now
-                pool.shutdown()
+        except BrokenExecutor as exc:  # the broken pool, put back, fails each later call
+            exc.__traceback__ = None  # the pool's thread holds exc: it must not pin this evaluator
             raise ChildProcessError(f"a GA worker process died: {exc}") from exc
         except (ValueError, FloatingPointError, NonConvergence) as exc:
             logger.warning("genome %s failed: %s", key, exc)
             with lock:
                 failures.append((key, str(exc)))
             fitness = 0.0
+        finally:
+            idle.put(pool)
         with lock:
             cache[key] = fitness
         return fitness
 
     evaluator.cache = cache
     evaluator.failures = failures
-    evaluator.close = weakref.finalize(evaluator, _end_workers, pool)
+    evaluator.close = weakref.finalize(evaluator, _end_workers, pools)
     return evaluator
 
 
@@ -255,7 +256,7 @@ def evolve(
     genomes. All randomness comes from config.seed in the main thread, and
     fitness depends only on the genome, so runs on any number of threads
     produce identical logs. `threads` genomes are evaluated at once (None, 0 or
-    1: one), at most one per worker process of a make_evaluator evaluator.
+    1: one), in at most `threads` workers of a make_evaluator evaluator.
     """
     domains = GENE_DOMAINS if domains is None else domains
     default_genome = DEFAULT_GENOME if default_genome is None else default_genome

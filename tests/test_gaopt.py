@@ -1,6 +1,7 @@
 import logging
 import multiprocessing
 import os
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -332,6 +333,37 @@ def test_no_worker_outlives_its_evaluator():
     evaluator.close()
     assert _children() == before
     evaluator.close()  # closing twice does nothing
+
+
+def test_closing_on_another_thread_waits_for_the_workers():
+    train, validation = labeled_frames()
+    before, evaluator, after = _children(), make_evaluator(train, validation), []
+
+    def close_and_count():
+        evaluator.close()
+        after.append(_children())
+
+    closer = threading.Thread(target=close_and_count)
+    closer.start()
+    closer.join(timeout=60)
+    assert not closer.is_alive() and after == [before]
+
+
+def test_one_call_at_a_time_trains_in_one_worker(monkeypatch, tmp_path):
+    train, validation = labeled_frames()
+    pids = tmp_path / "pids"
+
+    def stub(genome, train_frame, validation_frame, budget, base_seed):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return 0.5
+
+    monkeypatch.setattr(gaopt, "_evaluate_raising", stub)
+    evaluator = make_evaluator(train, validation)
+    for window in (8, 12, 16, 20, 24):
+        assert evaluator(PipelineSettings(window=window)) == 0.5
+    evaluator.close()
+    assert len(set(pids.read_text().split())) == 1
 
 
 def test_a_dead_worker_raises_a_typed_error_and_records_nothing(monkeypatch):

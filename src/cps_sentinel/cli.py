@@ -30,7 +30,7 @@ from .dataio import (
     load_csv,
     read_header,
 )
-from .detectors import VERDICT_HEADER, NonConvergence, read_verdicts, verdict_csv
+from .detectors import NonConvergence, read_verdicts, verdict_csv
 from .errorspace import embed, embedding_csv, error_series_csv, read_error_series
 from .forecaster import ShapeError, TrainConfig, TrainHistory
 from .gaopt import (
@@ -200,33 +200,13 @@ def _cmd_detect(args):
                      f"flagged; verdicts.csv and errors.csv in {args.out}\n")
 
 
-def _read_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-truth flags from either a verdict CSV or a labeled data CSV."""
-    header = read_header(path)
-    if tuple(header) == VERDICT_HEADER:
-        verdicts = read_verdicts(path)
-        return verdicts.indices, verdicts.flags
-    if header[-1] == LABEL_COLUMN:
-        frame = load_csv(path, infer_schema(path))
-        return frame.timestamps, frame.labels
-    raise DataFormatError(
-        f"{path}: expected a verdict CSV or a data CSV with a {LABEL_COLUMN!r} column"
-    )
-
-
 def _cmd_evaluate(args):
     verdicts = read_verdicts(args.verdicts)
-    label_indices, label_flags = _read_labels(args.labels)
-    for path, indices in ((args.verdicts, verdicts.indices), (args.labels, label_indices)):
-        _, first, counts = np.unique(indices, return_index=True, return_counts=True)
-        if np.any(counts > 1):
-            raise DataFormatError(f"{path}: index {indices[first[counts > 1].min()]} repeats")
-    lookup = dict(zip(label_indices.tolist(), label_flags.tolist()))
-    try:
-        truth = np.asarray([lookup[ix] for ix in verdicts.indices.tolist()], dtype=bool)
-    except KeyError as exc:
-        raise ValueError(f"labels file has no entry for index {exc.args[0]}") from None
-    counts, report = score(verdicts, truth)
+    schema = infer_schema(args.labels)
+    if read_header(args.labels)[-1] != LABEL_COLUMN:
+        raise DataFormatError(f"{args.labels}: no {LABEL_COLUMN!r} column to score against")
+    labels = load_csv(args.labels, schema).labels_at(verdicts.indices)
+    counts, report = score(verdicts, labels)
     return [], report_text(counts, report)
 
 
@@ -280,7 +260,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("evaluate", help="score a verdict CSV against labels")
+    p = sub.add_parser("evaluate", help="score a verdict CSV against a labeled data CSV")
     p.add_argument("--verdicts", required=True)
     p.add_argument("--labels", required=True)
     p.set_defaults(func=_cmd_evaluate)

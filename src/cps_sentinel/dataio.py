@@ -127,12 +127,14 @@ class TimeSeriesFrame:
         return len(self.timestamps)
 
     def labels_at(self, indices: np.ndarray) -> np.ndarray:
-        """Labels for absolute timesteps (positions relative to first row)."""
-        first = int(self.timestamps[0]) if len(self) else 0
-        rows = np.asarray(indices, dtype=np.int64) - first
-        if np.any(rows < 0) or np.any(rows >= len(self)):
-            raise ValueError("index outside frame")
-        return self.labels[rows]
+        """Labels at absolute timesteps; a ValueError names the first index outside the frame."""
+        first, last = (int(self.timestamps[0]), int(self.timestamps[-1])) if len(self) else (0, -1)
+        indices = np.asarray(indices, dtype=np.int64)
+        outside = (indices < first) | (indices > last)
+        if np.any(outside):
+            raise ValueError(f"index {indices[np.argmax(outside)]} outside frame timesteps "
+                             f"[{first}, {last + 1})")
+        return self.labels[indices - first]
 
 
 @dataclass(frozen=True, eq=False)

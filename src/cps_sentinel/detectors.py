@@ -11,7 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import FLOAT64, INT64, TOKEN, csv_text, freeze_arrays, read_csv, reject_rows
+from .dataio import (
+    FLOAT64,
+    INT64,
+    TOKEN,
+    DataFormatError,
+    csv_text,
+    freeze_arrays,
+    read_csv,
+    reject_rows,
+)
 from .errorspace import ErrorEmbedding, ErrorSeries
 from .rng import Rng, derive_seed
 
@@ -368,10 +377,13 @@ def verdict_csv(verdicts: VerdictSeries) -> str:
 
 
 def read_verdicts(path) -> VerdictSeries:
-    """The verdicts of an `index,flag,score` CSV; a flag is `0` or `1`."""
+    """The verdicts of an `index,flag,score` CSV; a flag is `0` or `1`, and no index repeats."""
     layouts = {VERDICT_HEADER: (INT64, TOKEN, FLOAT64)}
     indices, flags, scores = read_csv(path, "a verdict file", layouts)
     attack = flags == "1"
     reject_rows(path, ~attack & (flags != "0"), flags, "flag is not 0 or 1:")
     reject_rows(path, ~np.isfinite(scores), scores, "non-finite score")
+    _, first, counts = np.unique(indices, return_index=True, return_counts=True)
+    if np.any(counts > 1):
+        raise DataFormatError(f"{path}: index {indices[first[counts > 1].min()]} repeats")
     return VerdictSeries(indices=indices, flags=attack, scores=scores)

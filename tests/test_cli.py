@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cps_sentinel import cli, dataio, gaopt, plantsim
+from cps_sentinel import cli, dataio, gaopt, metrics, pipeline, plantsim
+from cps_sentinel.artifact import load_pipeline
 from cps_sentinel.cli import infer_schema, main
 from cps_sentinel.dataio import DataFormatError
 from cps_sentinel.detectors import KMEANS
@@ -479,6 +480,10 @@ def test_detect_then_evaluate_round_trip(workspace, capsys):
     lines = dict(line.split(" ") for line in report.strip().splitlines())
     assert set(lines) == {"tp", "fp", "tn", "fn", "accuracy", "precision", "recall", "f1"}
     assert int(lines["tp"]) + int(lines["fp"]) + int(lines["tn"]) + int(lines["fn"]) == 192
+    # The CLI and the library score the same verdicts against the same labels.
+    fitted = load_pipeline(workspace / "model.npz")
+    frame = dataio.load_csv(workspace / "data" / "test.csv", fitted.schema)
+    assert report == metrics.report_text(*pipeline.evaluate_frame(fitted, frame)[:2])
 
 
 def test_detect_is_byte_deterministic(workspace):
@@ -641,9 +646,13 @@ def test_detect_rejects_a_file_that_is_not_an_artifact(workspace, tmp_path, caps
 
 
 def test_evaluate_verdicts_against_themselves(tmp_path, capsys):
-    path = tmp_path / "v.csv"
-    path.write_text("index,flag,score\n0,0,0.1\n1,1,2.0\n2,1,3.0\n3,0,0.2\n")
-    assert main(["evaluate", "--verdicts", str(path), "--labels", str(path)]) == 0
+    """Verdicts scored against a data CSV whose labels are the same flags."""
+    verdicts = tmp_path / "v.csv"
+    verdicts.write_text("index,flag,score\n0,0,0.1\n1,1,2.0\n2,1,3.0\n3,0,0.2\n")
+    labels = tmp_path / "l.csv"
+    labels.write_text("Timestamp,A,Normal/Attack\n0,1.0,Normal\n1,1.0,Attack\n"
+                      "2,1.0,Attack\n3,1.0,Normal\n")
+    assert main(["evaluate", "--verdicts", str(verdicts), "--labels", str(labels)]) == 0
     lines = dict(line.split(" ") for line in capsys.readouterr().out.strip().splitlines())
     assert lines["f1"] == "1.0" and lines["accuracy"] == "1.0"
     assert lines["tp"] == "2" and lines["tn"] == "2"
@@ -651,24 +660,45 @@ def test_evaluate_verdicts_against_themselves(tmp_path, capsys):
 
 def test_evaluate_missing_label_index_exits_2(tmp_path, capsys):
     verdicts = tmp_path / "v.csv"
-    verdicts.write_text("index,flag,score\n999,1,1.0\n")
+    verdicts.write_text("index,flag,score\n0,1,1.0\n999,1,1.0\n")
     labels = tmp_path / "l.csv"
-    labels.write_text("index,flag,score\n0,1,1.0\n")
+    labels.write_text("Timestamp,A,Normal/Attack\n0,1.0,Attack\n")
     assert main(["evaluate", "--verdicts", str(verdicts), "--labels", str(labels)]) == 2
-    assert "no entry for index 999" in capsys.readouterr().err
+    assert capsys.readouterr().err == "cps-sentinel: index 999 outside frame timesteps [0, 1)\n"
 
 
-@pytest.mark.parametrize("repeated", ["verdicts", "labels"])
-def test_evaluate_rejects_a_repeated_index(tmp_path, capsys, repeated):
-    """Verdicts 5, 5, 6 against labels 5, 6, 5 would count the repeated verdict
-    twice and keep the last label of 5; the first file that repeats is named."""
+EVALUATE_VERDICTS = "index,flag,score\n5,1,1.0\n6,0,0.1\n"
+EVALUATE_LABELS = "Timestamp,A,Normal/Attack\n5,1.0,Attack\n6,1.0,Normal\n"
+
+# name -> (the file at fault, verdicts text, labels text, message after its path)
+EVALUATE_FAULTS = {
+    # Verdicts 5, 5, 6 would count the repeated verdict twice.
+    "repeated verdict index": (
+        "verdicts", "index,flag,score\n5,1,1.0\n5,1,1.0\n6,0,0.1\n", EVALUATE_LABELS,
+        "index 5 repeats",
+    ),
+    "verdict CSV as labels": (
+        "labels", EVALUATE_VERDICTS, EVALUATE_VERDICTS, "header must start with 'Timestamp'",
+    ),
+    # Without the column every row would read as normal.
+    "data CSV without labels": (
+        "labels", EVALUATE_VERDICTS, "Timestamp,A\n5,1.0\n6,1.0\n",
+        "no 'Normal/Attack' column to score against",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE_FAULTS))
+def test_evaluate_exits_2_naming_the_file_at_fault(tmp_path, capsys, case):
+    at_fault, verdicts, labels, message = EVALUATE_FAULTS[case]
     files = {"verdicts": tmp_path / "v.csv", "labels": tmp_path / "l.csv"}
-    files["verdicts"].write_text("index,flag,score\n5,1,1.0\n5,1,1.0\n6,0,0.1\n"
-                                 if repeated == "verdicts" else "index,flag,score\n5,1,1.0\n")
-    files["labels"].write_text("index,flag,score\n5,1,1.0\n6,1,1.0\n5,0,0.1\n")
+    files["verdicts"].write_text(verdicts)
+    files["labels"].write_text(labels)
     assert main(["evaluate", "--verdicts", str(files["verdicts"]),
                  "--labels", str(files["labels"])]) == 2
-    assert capsys.readouterr().err == f"cps-sentinel: {files[repeated]}: index 5 repeats\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cps-sentinel: {files[at_fault]}: {message}\n"
 
 
 def test_evaluate_rejects_non_verdict_file(tmp_path, capsys):

@@ -79,6 +79,11 @@ def test_verdicts_round_trip_bit_exactly(rows):
         indices=[r[0] for r in rows], flags=[r[1] for r in rows], scores=[r[2] for r in rows]
     )
     with scratch_file(verdict_csv(verdicts).encode()) as path:
+        if len(np.unique(verdicts.indices)) < len(rows):
+            # Verdicts name each index once; the reader rejects a repeat.
+            with pytest.raises(DataFormatError, match="repeats"):
+                read_verdicts(path)
+            return
         back = read_verdicts(path)
     np.testing.assert_array_equal(back.indices, verdicts.indices)
     np.testing.assert_array_equal(back.flags, verdicts.flags)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -158,9 +159,12 @@ def test_labels_at_maps_absolute_timesteps():
     np.testing.assert_array_equal(
         frame.labels_at(np.array([101, 103])), [True, True]
     )
-    with pytest.raises(ValueError, match="outside"):
-        frame.labels_at(np.array([99]))
-    with pytest.raises(ValueError, match="index outside frame"):
+    # The first index outside is named, with the frame's span.
+    with pytest.raises(ValueError, match=re.escape("index 99 outside frame timesteps [100, 104)")):
+        frame.labels_at(np.array([101, 99, 104]))
+    with pytest.raises(ValueError, match=re.escape("index 104 outside frame timesteps [100, 104)")):
+        frame.labels_at(np.array([104, 99]))
+    with pytest.raises(ValueError, match=re.escape("index 3 outside frame timesteps [0, 0)")):
         make_frame(np.empty((0, 1))).labels_at(np.array([3]))
 
 

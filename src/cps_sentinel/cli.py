@@ -205,7 +205,11 @@ def _cmd_evaluate(args):
     schema = infer_schema(args.labels)
     if read_header(args.labels)[-1] != LABEL_COLUMN:
         raise DataFormatError(f"{args.labels}: no {LABEL_COLUMN!r} column to score against")
-    labels = load_csv(args.labels, schema).labels_at(verdicts.indices)
+    frame = load_csv(args.labels, schema)
+    try:
+        labels = frame.labels_at(verdicts.indices)
+    except ValueError as exc:  # a verdict index outside the labels file
+        raise DataFormatError(f"{args.labels}: {exc}") from None
     counts, report = score(verdicts, labels)
     return [], report_text(counts, report)
 

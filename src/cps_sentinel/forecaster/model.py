@@ -1,6 +1,9 @@
 """Next-step forecaster: model assembly, training loop, Adam."""
 
+import contextlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -96,8 +99,8 @@ class CnnModel:
     through any of them writes the flat vector.
 
     Training (`train`, `adam_step`) mutates the instance and needs external
-    synchronization; `forward`/`predict_series` on a model nobody is training
-    are pure and thread-safe.
+    synchronization, also against `predict_series`, whose helper threads call
+    `forward`; on a model nobody is training, both are pure and thread-safe.
     """
 
     def __init__(self, input_shape: tuple[int, int], layers: list):
@@ -233,11 +236,28 @@ def adam_step(model: CnnModel, grads: list[np.ndarray], learning_rate: float) ->
 
 
 def _forward_chunks(model: CnnModel, inputs: np.ndarray) -> np.ndarray:
-    """model.forward over chunks of PREDICT_CHUNK windows. A single leftover
-    window joins the last chunk: alone, it would take BLAS's one-row path,
-    whose bits differ from those it gets in any taller chunk."""
-    bounds = range(PREDICT_CHUNK, len(inputs) - 1, PREDICT_CHUNK)
-    return np.concatenate([model.forward(chunk) for chunk in np.split(inputs, bounds)])
+    """model.forward over chunks of PREDICT_CHUNK windows on the caller and one
+    helper thread per further CPU (`os.sched_getaffinity`, else `os.cpu_count`):
+    each thread forwards the next chunk none has taken, so a slower CPU takes
+    fewer. One chunk starts no thread; helpers end before this returns or
+    raises. A single leftover window joins the last chunk: alone, it would take
+    BLAS's one-row path, whose bits differ from those it gets in any taller one."""
+    chunks = np.split(inputs, range(PREDICT_CHUNK, len(inputs) - 1, PREDICT_CHUNK))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    helpers = min(len(chunks), cpus or 1) - 1
+    outputs = [None] * len(chunks)
+    untaken = iter(range(len(chunks)))  # shared: next() hands each index out once
+
+    def run() -> None:
+        for i in untaken:
+            outputs[i] = model.forward(chunks[i])
+
+    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
+        started = [pool.submit(run) for _ in range(helpers)]
+        run()
+        for helper in started:
+            helper.result()
+    return np.concatenate(outputs)
 
 
 def _batched_mae(model: CnnModel, inputs: np.ndarray, targets: np.ndarray) -> float:

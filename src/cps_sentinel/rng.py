@@ -30,12 +30,6 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _box_muller(u1: float, u2: float) -> float:
-    """One standard normal from two uniforms, u1 in (0, 1]: Python `math`
-    only, so that every batch of draws has the bits of the scalar draws."""
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
 def derive_seed(*parts: int) -> int:
     """Fold integers into a single 64-bit seed, order-sensitively."""
     state = 0
@@ -84,17 +78,19 @@ class Rng:
         """One standard normal via Box-Muller."""
         u1 = 1.0 - self.uniform()
         u2 = self.uniform()
-        return _box_muller(u1, u2)
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def gauss_batch(self, n: int) -> np.ndarray:
         """Exactly `[self.gauss() for _ in range(n)]`, as an array, leaving the
         generator where those draws would.
 
-        The uniforms come in one vectorized draw; the transform stays scalar
-        because `np.log` is not bit-equal to `math.log` for every input.
+        The uniforms come in one draw. `math.log` and `math.cos` stay scalar, as
+        numpy's differ in some bits; numpy's `sqrt` and products round as Python's.
         """
         u = self.uniform_array(2 * n)
-        return np.array(list(map(_box_muller, (1.0 - u[0::2]).tolist(), u[1::2].tolist())))
+        logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, n)
+        coss = np.fromiter(map(math.cos, ((2.0 * math.pi) * u[1::2]).tolist()), np.float64, n)
+        return np.sqrt(-2.0 * logs) * coss
 
     def gauss_array(self, n: int) -> np.ndarray:
         """n standard normals, two per uniform pair through numpy's vectorized

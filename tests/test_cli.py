@@ -664,7 +664,8 @@ def test_evaluate_missing_label_index_exits_2(tmp_path, capsys):
     labels = tmp_path / "l.csv"
     labels.write_text("Timestamp,A,Normal/Attack\n0,1.0,Attack\n")
     assert main(["evaluate", "--verdicts", str(verdicts), "--labels", str(labels)]) == 2
-    assert capsys.readouterr().err == "cps-sentinel: index 999 outside frame timesteps [0, 1)\n"
+    assert capsys.readouterr().err == (
+        f"cps-sentinel: {labels}: index 999 outside frame timesteps [0, 1)\n")
 
 
 EVALUATE_VERDICTS = "index,flag,score\n5,1,1.0\n6,0,0.1\n"

@@ -1,8 +1,13 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cps_sentinel import gaopt
 from cps_sentinel.artifact import _decode_model
 from cps_sentinel.forecaster import (
     TANH,
@@ -24,6 +29,7 @@ from cps_sentinel.forecaster.layers import (
     MaxPool1DLayer,
     _activate_in_place,
 )
+from cps_sentinel.forecaster.model import PREDICT_CHUNK, _forward_chunks
 from cps_sentinel.dataio import WindowBatch, make_windows
 from cps_sentinel.pipeline import PipelineSettings, build_forecaster
 from cps_sentinel.rng import Rng
@@ -678,6 +684,122 @@ def test_a_forecast_has_the_same_bits_in_every_chunk(monkeypatch, stack, chunk):
     size = {"default": fm.PREDICT_CHUNK, "n - 1": n - 1, "2": 2}[chunk]
     monkeypatch.setattr(fm, "PREDICT_CHUNK", size)
     np.testing.assert_array_equal(predict_series(model, frame)[0], whole)
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make `_forward_chunks` see `cpus` CPUs, through `os.sched_getaffinity`
+    or, for `cpus` given as ("cpu_count", n), through its fallback."""
+    if isinstance(cpus, tuple):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus[1])
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def serial_chunk_forward(model, inputs):
+    """One forward per PREDICT_CHUNK windows on this thread, a lone leftover
+    window joining the last chunk."""
+    bounds = range(PREDICT_CHUNK, len(inputs) - 1, PREDICT_CHUNK)
+    return np.concatenate([model.forward(chunk) for chunk in np.split(inputs, bounds)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, ("cpu_count", 2), ("cpu_count", None)])
+@pytest.mark.parametrize("n, chunks", [(1, 1), (1025, 1), (2049, 2), (5000, 5)])
+def test_forward_chunks_has_the_bits_of_a_serial_chunk_forward(monkeypatch, cpus, n, chunks):
+    """1,025 windows make one chunk (the lone window joins). The caller and
+    min(chunks, CPUs) - 1 helpers each forward chunks, so one chunk starts
+    no thread."""
+    model = build_model(4, 2, SMALL_STACK, seed=3)
+    inputs = Rng(n).uniform_array(n * 8).reshape(n, 4, 2)
+    expected = serial_chunk_forward(model, inputs)
+    use_cpus(monkeypatch, cpus)
+    step = min(chunks, (cpus[1] or 1) if isinstance(cpus, tuple) else cpus)
+    # Each thread's first chunk waits until every thread has taken one, so no
+    # thread can take all the chunks before the others start.
+    forward, threads, barrier = model.forward, set(), threading.Barrier(step, timeout=10)
+
+    def recorded_forward(x):
+        if threading.get_ident() not in threads:
+            threads.add(threading.get_ident())
+            barrier.wait()
+        return forward(x)
+
+    monkeypatch.setattr(model, "forward", recorded_forward)
+    threads_before = threading.active_count()
+    got = _forward_chunks(model, inputs)
+    assert got.tobytes() == expected.tobytes()
+    assert len(threads) == step
+    assert threading.get_ident() in threads
+    assert threading.active_count() == threads_before
+
+
+def test_forward_chunks_forwards_each_chunk_once_under_thread_switches(monkeypatch):
+    """Eight threads on fewer cores, switching every microsecond, share the
+    chunk indices: a chunk handed out twice adds a call, one skipped breaks
+    the join."""
+    import cps_sentinel.forecaster.model as fm
+
+    model = build_model(4, 2, SMALL_STACK, seed=3)
+    inputs = Rng(7).uniform_array(200 * 8).reshape(200, 4, 2)
+    expected = np.concatenate([model.forward(inputs[i : i + 4]) for i in range(0, 200, 4)])
+    monkeypatch.setattr(fm, "PREDICT_CHUNK", 4)  # 50 chunks
+    use_cpus(monkeypatch, 8)
+    forward, calls = model.forward, []
+    monkeypatch.setattr(model, "forward", lambda x: calls.append(len(x)) or forward(x))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert _forward_chunks(model, inputs).tobytes() == expected.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [4] * 50 * 20
+
+
+@pytest.mark.parametrize("fault",["last-layer bias", "one window", "a helper's chunk"])
+def test_no_helper_thread_outlives_a_raising_chunk(monkeypatch, fault):
+    model = build_model(4, 2, SMALL_STACK, seed=3)
+    inputs = Rng(1).uniform_array(3000 * 8).reshape(3000, 4, 2)  # three chunks
+    if fault == "last-layer bias":
+        model.layers[-1].bias[:] = np.nan
+    elif fault == "one window":
+        inputs[2048 + 7] = np.nan
+    else:
+        forward, helper_ran = model.forward, threading.Event()
+
+        def helper_fails(x):
+            if threading.current_thread() is threading.main_thread():
+                helper_ran.wait(10)  # the caller waits until a helper has a chunk
+                return forward(x)
+            helper_ran.set()
+            raise FloatingPointError("non-finite forecaster output: on a helper")
+
+        monkeypatch.setattr(model, "forward", helper_fails)
+    use_cpus(monkeypatch, 2)
+    threads_before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="non-finite forecaster output"):
+        _forward_chunks(model, inputs)
+    assert threading.active_count() == threads_before
+
+
+def test_the_ga_forks_after_every_helper_of_a_prediction_ended(monkeypatch):
+    """make_evaluator forks one GA worker per CPU. Its first fork, before
+    any pool thread of its own runs, sees the main thread alone."""
+    train_frame = random_frame(3000, 2, seed=1)
+    labels = np.zeros(60, dtype=bool)
+    labels[30:40] = True
+    validation = make_frame(random_frame(60, 2, seed=2).values, labels=labels)
+    use_cpus(monkeypatch, 2)
+    predict_series(build_model(4, 2, SMALL_STACK, seed=3), train_frame)  # three chunks
+    at_fork = []
+    # A fork hook cannot be unregistered: it records nothing once at_fork is None.
+    os.register_at_fork(
+        before=lambda: at_fork is not None and at_fork.append(threading.enumerate()))
+    evaluator = gaopt.make_evaluator(train_frame, validation)
+    forks, at_fork = at_fork, None
+    evaluator.close()
+    assert len(forks) == 2
+    assert forks[0] == [threading.main_thread()]
 
 
 def layout(model):

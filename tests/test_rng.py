@@ -70,7 +70,7 @@ def test_gauss_scalar_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 4001])
+@pytest.mark.parametrize("n", [0, 1, 2, 4001, 100_000])
 def test_gauss_batch_is_the_scalar_gauss_stream(n):
     batch, scalar = Rng(17), Rng(17)
     got = batch.gauss_batch(n)

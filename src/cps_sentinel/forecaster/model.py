@@ -237,20 +237,29 @@ def adam_step(model: CnnModel, grads: list[np.ndarray], learning_rate: float) ->
 
 def _forward_chunks(model: CnnModel, inputs: np.ndarray) -> np.ndarray:
     """model.forward over chunks of PREDICT_CHUNK windows on the caller and one
-    helper thread per further CPU (`os.sched_getaffinity`, else `os.cpu_count`):
-    each thread forwards the next chunk none has taken, so a slower CPU takes
-    fewer. One chunk starts no thread; helpers end before this returns or
-    raises. A single leftover window joins the last chunk: alone, it would take
+    helper thread per further CPU (`os.sched_getaffinity`, else `os.cpu_count`),
+    each taking the next chunk none has taken. One chunk starts no helper, nor
+    does a multiprocessing child such as a GA worker, whose siblings use the other
+    CPUs. After a chunk raises, no thread starts another; helpers end before this
+    returns. A lone leftover window joins the last chunk: alone, it would take
     BLAS's one-row path, whose bits differ from those it gets in any taller one."""
     chunks = np.split(inputs, range(PREDICT_CHUNK, len(inputs) - 1, PREDICT_CHUNK))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     helpers = min(len(chunks), cpus or 1) - 1
+    if helpers:
+        import multiprocessing  # imported on first use: it costs every command's start-up
+        helpers = helpers if multiprocessing.parent_process() is None else 0
     outputs = [None] * len(chunks)
     untaken = iter(range(len(chunks)))  # shared: next() hands each index out once
 
     def run() -> None:
-        for i in untaken:
-            outputs[i] = model.forward(chunks[i])
+        try:
+            for i in untaken:
+                outputs[i] = model.forward(chunks[i])
+        except BaseException:
+            for _ in untaken:  # take every chunk left, so no thread starts another
+                pass
+            raise
 
     with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
         started = [pool.submit(run) for _ in range(helpers)]

@@ -756,30 +756,63 @@ def test_forward_chunks_forwards_each_chunk_once_under_thread_switches(monkeypat
     assert calls == [4] * 50 * 20
 
 
-@pytest.mark.parametrize("fault",["last-layer bias", "one window", "a helper's chunk"])
+@pytest.mark.parametrize(
+    "fault", ["last-layer bias", "the last window", "the caller's chunk", "a helper's chunk"])
 def test_no_helper_thread_outlives_a_raising_chunk(monkeypatch, fault):
+    """20 chunks on 2 CPUs. A NaN bias raises in every chunk, so each thread
+    forwards one; a NaN last window raises after all 20. When one thread's
+    chunk raises, the other's forwards wait until the raising thread has left
+    its loop: the other may then finish the chunk it holds, and take no more."""
+    import cps_sentinel.forecaster.model as fm
+
     model = build_model(4, 2, SMALL_STACK, seed=3)
-    inputs = Rng(1).uniform_array(3000 * 8).reshape(3000, 4, 2)  # three chunks
+    inputs = Rng(1).uniform_array(20 * PREDICT_CHUNK * 8).reshape(-1, 4, 2)
+    raiser = {"the caller's chunk": "caller", "a helper's chunk": "helper"}.get(fault)
     if fault == "last-layer bias":
         model.layers[-1].bias[:] = np.nan
-    elif fault == "one window":
-        inputs[2048 + 7] = np.nan
-    else:
-        forward, helper_ran = model.forward, threading.Event()
+    elif fault == "the last window":
+        inputs[-1] = np.nan
+    left = {"caller": threading.Event(), "helper": threading.Event()}
 
-        def helper_fails(x):
-            if threading.current_thread() is threading.main_thread():
-                helper_ran.wait(10)  # the caller waits until a helper has a chunk
-                return forward(x)
-            helper_ran.set()
-            raise FloatingPointError("non-finite forecaster output: on a helper")
+    class Pool(fm.ThreadPoolExecutor):
+        """Marks each side's leaving its loop: the caller's before the join."""
 
-        monkeypatch.setattr(model, "forward", helper_fails)
+        def submit(self, run):
+            def run_then_mark():
+                try:
+                    run()
+                finally:
+                    left["helper"].set()
+
+            return super().submit(run_then_mark)
+
+        def __exit__(self, *exc):
+            left["caller"].set()
+            return super().__exit__(*exc)
+
+    forward, calls = model.forward, []
+
+    def recorded_forward(x):
+        side = "caller" if threading.current_thread() is threading.main_thread() else "helper"
+        calls.append(side)
+        if side == raiser:
+            raise FloatingPointError("non-finite forecaster output: in a test")
+        if raiser:
+            assert left[raiser].wait(10)
+        return forward(x)
+
+    monkeypatch.setattr(fm, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(model, "forward", recorded_forward)
     use_cpus(monkeypatch, 2)
     threads_before = threading.active_count()
     with pytest.raises(FloatingPointError, match="non-finite forecaster output"):
         _forward_chunks(model, inputs)
     assert threading.active_count() == threads_before
+    if fault == "the last window":
+        assert len(calls) == 20
+    else:
+        assert len(calls) <= 2
+        assert raiser is None or calls.count(raiser) == 1
 
 
 def test_the_ga_forks_after_every_helper_of_a_prediction_ended(monkeypatch):
@@ -800,6 +833,31 @@ def test_the_ga_forks_after_every_helper_of_a_prediction_ended(monkeypatch):
     evaluator.close()
     assert len(forks) == 2
     assert forks[0] == [threading.main_thread()]
+
+
+def test_a_ga_worker_forwards_a_multi_chunk_frame_on_its_own_thread(monkeypatch):
+    """A GA worker shares the CPUs with one sibling per CPU, so fit_pipeline
+    forwards its 3,000-window training frame there without a helper: a helper
+    pool raises here, and from the worker through the evaluator."""
+    import cps_sentinel.forecaster.model as fm
+
+    def no_pool(helpers):
+        raise AssertionError(f"{helpers} helper thread(s) asked for")
+
+    train_frame = random_frame(3000, 2, seed=1)
+    labels = np.zeros(60, dtype=bool)
+    labels[30:40] = True
+    validation = make_frame(random_frame(60, 2, seed=2).values, labels=labels)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(fm, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(AssertionError, match="1 helper thread"):  # as the caller would
+        predict_series(build_model(4, 2, SMALL_STACK, seed=3), train_frame)
+    evaluator = gaopt.make_evaluator(train_frame, validation, TrainConfig(epochs=1))
+    try:
+        assert 0.0 <= evaluator(PipelineSettings()) <= 1.0
+        assert evaluator.failures == []
+    finally:
+        evaluator.close()
 
 
 def layout(model):

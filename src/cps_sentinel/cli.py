@@ -238,7 +238,10 @@ def _cmd_optimize(args):
 
 def _cmd_report(args):
     series = read_error_series(args.errors)
-    embedding = embed(series, args.lag)
+    try:
+        embedding = embed(series, args.lag)
+    except ValueError as exc:  # a gap or a short series is the file's fault, a negative lag not
+        raise DataFormatError(f"{args.errors}: {exc}") if args.lag >= 0 else exc from None
     outputs = [(os.path.join(args.out, "error_series.csv"), _text(error_series_csv, series)),
                (os.path.join(args.out, "embedding.csv"), _text(embedding_csv, embedding))]
     return outputs, (f"error series ({len(series)} points, delta {series.delta!r}) and "

@@ -237,12 +237,11 @@ def adam_step(model: CnnModel, grads: list[np.ndarray], learning_rate: float) ->
 
 def _forward_chunks(model: CnnModel, inputs: np.ndarray) -> np.ndarray:
     """model.forward over chunks of PREDICT_CHUNK windows on the caller and one
-    helper thread per further CPU (`os.sched_getaffinity`, else `os.cpu_count`),
-    each taking the next chunk none has taken. One chunk starts no helper, nor
-    does a multiprocessing child such as a GA worker, whose siblings use the other
-    CPUs. After a chunk raises, no thread starts another; helpers end before this
-    returns. A lone leftover window joins the last chunk: alone, it would take
-    BLAS's one-row path, whose bits differ from those it gets in any taller one."""
+    helper thread per further CPU, each taking the next chunk none has taken. One
+    chunk starts no helper, nor does a multiprocessing child such as a GA worker,
+    whose siblings (one per GA thread) share the CPUs. After a chunk raises, no
+    thread starts another; helpers end before this returns. A lone leftover window
+    joins the last chunk: alone, BLAS's one-row path would give it other bits."""
     chunks = np.split(inputs, range(PREDICT_CHUNK, len(inputs) - 1, PREDICT_CHUNK))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     helpers = min(len(chunks), cpus or 1) - 1

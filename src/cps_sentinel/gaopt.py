@@ -9,14 +9,12 @@ elitism. Fitness is a pure function of the genome (per-genome seeds derive
 from the run seed and a genome digest), so results are cached by genome key
 and parallel evaluation cannot change the outcome.
 
-Each evaluator trains and scores genomes in its own forked worker processes,
-one per CPU (so Linux only), outside the GIL of the process that runs the GA.
+Each evaluator trains and scores genomes in worker processes it forks (so Linux
+only), one per genome in flight, outside the GIL of the process running the GA.
 """
 
 import hashlib
 import logging
-import os
-import queue
 import threading
 import weakref
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
@@ -172,10 +170,11 @@ def make_evaluator(
     """Caching, thread-safe fitness function for evolve().
 
     The returned callable exposes `.cache` (genome key -> fitness),
-    `.failures` (list of (genome key, reason) pairs) and `.close()`, which
-    ends its worker processes, one per CPU, forked here; dropping it does too.
-    A miss goes to the most recently idle worker, so n calls at once train in
-    at most n workers. A worker that dies raises ChildProcessError.
+    `.failures` (list of (genome key, reason) pairs, one per failed key) and
+    `.close()`, which ends its worker processes; dropping it does too. A miss
+    goes to the most recently idle worker, and forks one only when none is
+    idle, so n calls at once train in at most n workers and making the
+    evaluator starts none. A worker that dies raises ChildProcessError.
     """
     if np.any(train_frame.labels):
         raise ValueError("training frame contains attack-labeled rows")
@@ -186,19 +185,18 @@ def make_evaluator(
     lock = threading.Lock()
     import multiprocessing  # imported on first use: it costs every command's start-up
     from concurrent.futures import ProcessPoolExecutor
-    pools, idle, inputs = [], queue.LifoQueue(), [train_frame, validation_frame, budget, seed]
-    for _ in os.sched_getaffinity(0):
-        pools.append(ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
-                                         _worker_inputs.extend, (inputs,)))
-        pools[-1].submit(int).result()  # forks now, in this thread, while older pools idle
-        idle.put(pools[-1])
+    pools, idle, inputs = [], [], [train_frame, validation_frame, budget, seed]
 
     def evaluator(genome: PipelineSettings) -> float:
-        key = genome.key()
+        key, fitness, failure = genome.key(), None, []
         with lock:
             if key in cache:
                 return cache[key]
-        pool = idle.get()
+            if not idle:  # a new pool forks at its first submit, outside the lock
+                pools.append(ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
+                                                 _worker_inputs.extend, (inputs,)))
+                idle.append(pools[-1])
+            pool = idle.pop()
         try:
             fitness = pool.submit(_evaluate_in_worker, genome).result()
         except BrokenExecutor as exc:  # the broken pool, put back, fails each later call
@@ -206,13 +204,13 @@ def make_evaluator(
             raise ChildProcessError(f"a GA worker process died: {exc}") from exc
         except (ValueError, FloatingPointError, NonConvergence) as exc:
             logger.warning("genome %s failed: %s", key, exc)
-            with lock:
-                failures.append((key, str(exc)))
-            fitness = 0.0
+            fitness, failure = 0.0, [(key, str(exc))]
         finally:
-            idle.put(pool)
-        with lock:
-            cache[key] = fitness
+            with lock:
+                idle.append(pool)
+                if fitness is not None and key not in cache:  # another thread may have stored it
+                    cache[key] = fitness
+                    failures.extend(failure)
         return fitness
 
     evaluator.cache = cache

@@ -802,7 +802,21 @@ def test_report_rejects_errors_whose_indices_skip_steps(tmp_path, capsys):
     out = tmp_path / "r"
     assert main(["report", "--errors", str(gapped), "--lag", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "cps-sentinel: error series indices must be consecutive: 1 is followed by 5\n"
+    assert err == (f"cps-sentinel: {gapped}: error series indices must be consecutive: "
+                   "1 is followed by 5\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lag, line", [
+    (2, "{path}: series of length 2 too short for lag 2"),
+    (-1, "lag must be non-negative"),  # the option's fault, not the file's
+])
+def test_report_names_the_errors_file_only_for_its_own_faults(tmp_path, capsys, lag, line):
+    errors = tmp_path / "errors.csv"
+    errors.write_text("index,error\n0,0.5\n1,0.2\n")
+    out = tmp_path / "r"
+    assert main(["report", "--errors", str(errors), "--lag", str(lag), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cps-sentinel: {line.format(path=errors)}\n"
     assert not out.exists()
 
 

@@ -816,23 +816,26 @@ def test_no_helper_thread_outlives_a_raising_chunk(monkeypatch, fault):
 
 
 def test_the_ga_forks_after_every_helper_of_a_prediction_ended(monkeypatch):
-    """make_evaluator forks one GA worker per CPU. Its first fork, before
-    any pool thread of its own runs, sees the main thread alone."""
+    """make_evaluator forks no GA worker; the first call forks one. That
+    fork, from the main thread before any pool thread runs, sees the main
+    thread alone."""
     train_frame = random_frame(3000, 2, seed=1)
     labels = np.zeros(60, dtype=bool)
     labels[30:40] = True
     validation = make_frame(random_frame(60, 2, seed=2).values, labels=labels)
     use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(gaopt, "_evaluate_raising", lambda genome, *inputs: 0.5)
     predict_series(build_model(4, 2, SMALL_STACK, seed=3), train_frame)  # three chunks
     at_fork = []
     # A fork hook cannot be unregistered: it records nothing once at_fork is None.
     os.register_at_fork(
         before=lambda: at_fork is not None and at_fork.append(threading.enumerate()))
     evaluator = gaopt.make_evaluator(train_frame, validation)
+    assert at_fork == []
+    assert evaluator(PipelineSettings()) == 0.5
     forks, at_fork = at_fork, None
     evaluator.close()
-    assert len(forks) == 2
-    assert forks[0] == [threading.main_thread()]
+    assert forks == [[threading.main_thread()]]
 
 
 def test_a_ga_worker_forwards_a_multi_chunk_frame_on_its_own_thread(monkeypatch):

@@ -1,7 +1,10 @@
 import logging
 import multiprocessing
 import os
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -322,22 +325,28 @@ def _children() -> int:
     return len(multiprocessing.active_children())
 
 
-def test_no_worker_outlives_its_evaluator():
+def test_no_worker_outlives_its_evaluator(monkeypatch):
     train, validation = labeled_frames()
+    monkeypatch.setattr(gaopt, "_evaluate_raising", lambda genome, *inputs: 0.5)
     before = _children()
     evaluator = make_evaluator(train, validation)
-    assert _children() == before + len(os.sched_getaffinity(0))
+    assert _children() == before
+    assert evaluator(DEFAULT_GENOME) == 0.5
+    assert _children() == before + 1
     del evaluator
     assert _children() == before
     evaluator = make_evaluator(train, validation)
+    assert evaluator(DEFAULT_GENOME) == 0.5
     evaluator.close()
     assert _children() == before
     evaluator.close()  # closing twice does nothing
 
 
-def test_closing_on_another_thread_waits_for_the_workers():
+def test_closing_on_another_thread_waits_for_the_workers(monkeypatch):
     train, validation = labeled_frames()
+    monkeypatch.setattr(gaopt, "_evaluate_raising", lambda genome, *inputs: 0.5)
     before, evaluator, after = _children(), make_evaluator(train, validation), []
+    assert evaluator(DEFAULT_GENOME) == 0.5
 
     def close_and_count():
         evaluator.close()
@@ -347,6 +356,68 @@ def test_closing_on_another_thread_waits_for_the_workers():
     closer.start()
     closer.join(timeout=60)
     assert not closer.is_alive() and after == [before]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_search_forks_one_worker_per_thread_whatever_the_cpus(monkeypatch, threads):
+    train, validation = labeled_frames()
+
+    def stub(genome, train_frame, validation_frame, budget, base_seed):
+        time.sleep(0.05)  # long enough that the GA's threads' calls overlap
+        return genome.beta / 3.0
+
+    monkeypatch.setattr(gaopt, "_evaluate_raising", stub)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    before = _children()
+    evaluator = make_evaluator(train, validation)
+    evolve(GaConfig(population_size=4, generations=2, seed=1), evaluator, threads=threads)
+    assert _children() == before + threads
+    evaluator.close()
+
+
+def test_a_cached_genome_forks_no_worker():
+    train, validation = labeled_frames()
+    before = _children()
+    evaluator = make_evaluator(train, validation)
+    evaluator.cache[DEFAULT_GENOME.key()] = 0.25
+    assert evaluator(DEFAULT_GENOME) == 0.25
+    assert _children() == before
+
+
+def test_many_short_searches_on_four_threads_end_with_no_worker_left(monkeypatch):
+    train, validation = labeled_frames()
+    monkeypatch.setattr(gaopt, "_evaluate_raising", lambda genome, *inputs: genome.beta / 3.0)
+    before, interval = _children(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that a race in the evaluator shows
+    try:
+        for seed in range(20):  # forks run on GA threads while other pools' threads run
+            evaluator = make_evaluator(train, validation, seed=seed)
+            result = evolve(GaConfig(population_size=8, generations=2, seed=seed), evaluator,
+                            threads=4)
+            assert {line.split(",")[2] for line in result.log_lines} == set(evaluator.cache)
+            assert _children() <= before + 4
+    finally:
+        sys.setswitchinterval(interval)
+    del evaluator
+    assert _children() == before
+
+
+def test_a_genome_failing_on_two_threads_at_once_is_one_failure(monkeypatch):
+    train, validation = labeled_frames()
+    both_in = multiprocessing.get_context("fork").Barrier(2)  # the workers inherit it
+
+    def stub(genome, train_frame, validation_frame, budget, base_seed):
+        both_in.wait(timeout=60)  # both workers evaluate the genome at once
+        raise ValueError("stub failure")
+
+    monkeypatch.setattr(gaopt, "_evaluate_raising", stub)
+    evaluator = make_evaluator(train, validation)
+    bad = PipelineSettings(window=10)
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(evaluator, [bad, bad])) == [0.0, 0.0]
+    evaluator.close()
+    assert evaluator.failures == [(bad.key(), "stub failure")]
+    assert evaluator.cache == {bad.key(): 0.0}
 
 
 def test_one_call_at_a_time_trains_in_one_worker(monkeypatch, tmp_path):

@@ -218,7 +218,7 @@ def _cmd_optimize(args):
     run = _run_config(args.config, ("train_csv", "validation_csv", "artifact"))
     train_path, validation_path = run.paths["train_csv"], run.paths["validation_csv"]
     train_frame = load_csv(train_path, infer_schema(train_path))
-    validation_frame = load_csv(validation_path, infer_schema(validation_path))
+    validation_frame = load_csv(validation_path, train_frame.schema)  # as detect reads its data
 
     evaluator = make_evaluator(train_frame, validation_frame, run.ga_budget, seed=run.ga.seed)
     # The config's gene values are the default genome, the first individual.

@@ -7,7 +7,9 @@ mutations sample inside the domains; a default gene outside them trains too.
 Tournament selection, uniform crossover, per-gene resample mutation, and
 elitism. Fitness is a pure function of the genome (per-genome seeds derive
 from the run seed and a genome digest), so results are cached by genome key
-and parallel evaluation cannot change the outcome.
+and parallel evaluation cannot change the outcome. A generation evaluates each
+distinct genome once, largest forecaster first (Graham's longest-processing-
+time rule), so its last, slowest training rarely starts late.
 
 Each evaluator trains and scores genomes in worker processes it forks (so Linux
 only), one per genome in flight, outside the GIL of the process running the GA.
@@ -24,8 +26,8 @@ import numpy as np
 
 from .dataio import FieldError, TimeSeriesFrame, csv_lines, csv_text
 from .detectors import DETECTOR_KINDS, NonConvergence
-from .forecaster import TrainConfig
-from .pipeline import PipelineSettings, evaluate_frame, fit_pipeline
+from .forecaster import ShapeError, TrainConfig
+from .pipeline import PipelineSettings, evaluate_frame, fit_pipeline, forecaster_size
 from .rng import Rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -170,7 +172,8 @@ def make_evaluator(
     """Caching, thread-safe fitness function for evolve().
 
     The returned callable exposes `.cache` (genome key -> fitness),
-    `.failures` (list of (genome key, reason) pairs, one per failed key) and
+    `.failures` (list of (genome key, reason) pairs, one per failed key, in
+    the order the trainings ended) and
     `.close()`, which ends its worker processes; dropping it does too. A miss
     goes to the most recently idle worker, and forks one only when none is
     idle, so n calls at once train in at most n workers and making the
@@ -180,6 +183,9 @@ def make_evaluator(
         raise ValueError("training frame contains attack-labeled rows")
     if not np.any(validation_frame.labels) or np.all(validation_frame.labels):
         raise ValueError("validation frame must contain both normal and attack rows")
+    if validation_frame.schema != train_frame.schema:
+        raise ValueError(f"validation channels {list(validation_frame.schema.names)} are not "
+                         f"the training channels {list(train_frame.schema.names)}")
     cache: dict[str, float] = {}
     failures: list[tuple[str, str]] = []
     lock = threading.Lock()
@@ -227,9 +233,19 @@ class EvolutionResult:
     log_lines: list[str]
 
 
+def _size(genome: PipelineSettings) -> int:
+    try:
+        return forecaster_size(genome, 1)
+    except ShapeError:  # it still goes to the evaluator, which records it as a failure
+        return 0
+
+
 def _fitness(genomes: list[PipelineSettings], evaluator, threads: int) -> list[float]:
+    # Each distinct genome once, largest forecaster first; the stable sort keeps ties in list order.
+    distinct = sorted({g.key(): g for g in genomes}.values(), key=_size, reverse=True)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [float(fitness) for fitness in pool.map(evaluator, genomes)]
+        fitness = dict(zip([genome.key() for genome in distinct], pool.map(evaluator, distinct)))
+    return [float(fitness[genome.key()]) for genome in genomes]
 
 
 def _tournament(rng: Rng, fits: list[float], size: int) -> int:
@@ -254,7 +270,11 @@ def evolve(
     genomes. All randomness comes from config.seed in the main thread, and
     fitness depends only on the genome, so runs on any number of threads
     produce identical logs. `threads` genomes are evaluated at once (None, 0 or
-    1: one), in at most `threads` workers of a make_evaluator evaluator.
+    1: one), in at most `threads` workers of a make_evaluator evaluator. Each
+    generation hands every distinct genome key to `evaluator` once, in
+    descending order of `forecaster_size(genome, 1)` with ties in list order
+    (a genome that cannot be sized goes last and still reaches `evaluator`),
+    and returns each fitness to its genome's position.
     """
     domains = GENE_DOMAINS if domains is None else domains
     default_genome = DEFAULT_GENOME if default_genome is None else default_genome

@@ -915,6 +915,21 @@ def test_optimize_that_cannot_save_its_artifact_leaves_no_output(workspace, tmp_
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_optimize_rejects_validation_channels_in_another_order(workspace, tmp_path, capsys):
+    rows = [line.split(",") for line in (workspace / "data/test.csv").read_text().splitlines()]
+    reordered = tmp_path / "reordered.csv"  # the same data, its header naming the columns truly
+    reordered.write_text("".join(",".join([r[0], *r[-2:0:-1], r[-1]]) + "\n" for r in rows))
+    cfg = tmp_path / "ga.ini"
+    ini = micro_ga_ini(workspace, tmp_path / "out", tmp_path / "out")
+    cfg.write_text(ini.replace(f"{workspace}/data/test.csv", str(reordered)))
+    (tmp_path / "out").mkdir()
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cps-sentinel: {reordered}: not a data file with columns "
+                          f"{rows[0][:-1]}") and err.count("\n") == 1, err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_train_that_cannot_write_its_history_leaves_no_output(workspace, tmp_path, capsys):
     cfg = tmp_path / "train.ini"
     ini = train_ini(workspace / "data", tmp_path / "out")

@@ -5,12 +5,13 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import cps_sentinel.gaopt as gaopt
+from cps_sentinel.dataio import ChannelSchema
 from cps_sentinel.detectors import DETECTOR_KINDS, KMEANS, THRESHOLD
 from cps_sentinel.forecaster import TrainConfig
 from cps_sentinel.gaopt import (
@@ -28,7 +29,7 @@ from cps_sentinel.gaopt import (
     mutate,
     random_genome,
 )
-from cps_sentinel.pipeline import PipelineSettings
+from cps_sentinel.pipeline import PipelineSettings, forecaster_size
 from cps_sentinel.rng import Rng
 
 from conftest import make_frame, random_frame
@@ -179,15 +180,95 @@ def test_evolve_identical_seeds_identical_logs():
 
 
 def test_evolve_parallel_trace_equals_serial():
-    serial = evolve(SMALL_GA, toy_fitness, threads=1)
-    parallel = evolve(SMALL_GA, toy_fitness, threads=4)
-    assert serial.log_lines == parallel.log_lines
-    assert serial.best_history == parallel.best_history
+    sizes = set()
+
+    def sized_toy(genome):
+        sizes.add(forecaster_size(genome, 1))
+        time.sleep(1e-3 * (genome.window == 8))  # some small forecasters finish last
+        return toy_fitness(genome)
+
+    serial, *parallel = (evolve(SMALL_GA, sized_toy, threads=n) for n in (1, 2, 4))
+    assert len(sizes) > 1  # so the dispatch order is not the list order
+    for run in parallel:
+        assert run.log_lines == serial.log_lines
+        assert run.best_history == serial.best_history
 
 
-def test_evolve_thread_count_from_environment():
+def test_evolve_rejects_a_negative_thread_count():
     with pytest.raises(ValueError, match="non-negative"):
         evolve(SMALL_GA, toy_fitness, threads=-1)
+
+
+def _generations(result, elitism_count: int):
+    """Each generation's evaluated keys in list order: all of generation 0, then the children."""
+    rows = [line.split(",") for line in result.log_lines]
+    for generation in range(int(rows[-1][0]) + 1):
+        skip = elitism_count if generation else 0
+        yield [key for g, index, key, _ in rows if int(g) == generation and int(index) >= skip]
+
+
+def test_evolve_dispatches_each_distinct_genome_once_largest_forecaster_first(monkeypatch):
+    dispatched, calls, lock = [], [], threading.Lock()
+
+    class RecordingPool(ThreadPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            dispatched.append(list(iterables[0]))
+            return super().map(fn, *iterables, **kwargs)
+
+    def recording_toy(genome):
+        with lock:
+            calls.append((len(dispatched), genome.key()))
+        return toy_fitness(genome)
+
+    monkeypatch.setattr(gaopt, "ThreadPoolExecutor", RecordingPool)
+    config = GaConfig(population_size=12, generations=8, mutation_rate=0.05, seed=2)
+    result = evolve(config, recording_toy, threads=2)
+    generations = list(_generations(result, config.elitism_count))
+    assert len(dispatched) == len(generations) == config.generations + 1
+    assert any(len(set(keys)) < len(keys) for keys in generations)  # some genome came twice
+    for generation, (genomes, keys) in enumerate(zip(dispatched, generations), start=1):
+        size = {genome.key(): forecaster_size(genome, 1) for genome in genomes}
+        # Each key once, by non-increasing size, ties in list order.
+        order = sorted(dict.fromkeys(keys), key=lambda key: -size[key])
+        assert [genome.key() for genome in genomes] == order
+        assert sorted(key for g, key in calls if g == generation) == sorted(order)
+
+
+def test_a_genome_twice_in_one_generation_trains_once(monkeypatch, tmp_path):
+    train, validation = labeled_frames()
+    calls = tmp_path / "calls"  # the stub runs in a worker process
+
+    def stub(genome, train_frame, validation_frame, budget, base_seed):
+        with open(calls, "a") as f:
+            f.write(genome.key() + "\n")
+        time.sleep(0.05)  # long enough that both GA threads are busy at once
+        return genome.beta / 3.0
+
+    monkeypatch.setattr(gaopt, "_evaluate_raising", stub)
+    evaluator = make_evaluator(train, validation)
+    twice, once = PipelineSettings(beta=1.5), PipelineSettings(beta=2.25, window=8)
+    fits = gaopt._fitness([twice, twice, once, twice], evaluator, threads=2)
+    evaluator.close()
+    assert fits == [0.5, 0.5, 0.75, 0.5]
+    assert sorted(calls.read_text().split()) == sorted([twice.key(), once.key()])
+
+
+def test_a_genome_the_stack_rejects_still_reaches_the_evaluator_and_scores_zero(monkeypatch):
+    train, validation = labeled_frames()
+
+    def stub(genome, train_frame, validation_frame, budget, base_seed):
+        forecaster_size(genome, 1)  # the pipeline's own check, without training
+        return toy_fitness(genome)
+
+    monkeypatch.setattr(gaopt, "_evaluate_raising", stub)
+    evaluator = make_evaluator(train, validation)
+    bad = PipelineSettings(window=10)
+    result = evolve(GaConfig(population_size=4, generations=1, seed=3), evaluator,
+                    default_genome=bad, threads=2)
+    evaluator.close()
+    assert result.log_lines[0] == f"0,0,{bad.key()},0.0"
+    assert evaluator.failures == [(bad.key(), "the two pools of 2 need a window divisible by 4, "
+                                              "not 10")]
 
 
 def test_evolve_caching_does_not_change_the_trace():
@@ -248,6 +329,10 @@ def test_evaluate_precondition_errors():
         make_evaluator(attacked_train, validation)
     with pytest.raises(ValueError, match="both normal and attack"):
         make_evaluator(train, train)
+    reordered = replace(validation, schema=ChannelSchema(names=("C1", "C0")))
+    with pytest.raises(ValueError, match=r"validation channels \['C1', 'C0'\] are not the "
+                                         r"training channels \['C0', 'C1'\]"):
+        make_evaluator(train, reordered)
 
 
 def test_invalid_genome_maps_to_zero_fitness(caplog):

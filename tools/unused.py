@@ -1,7 +1,8 @@
 """List every public function, class and method in `src/` that no `src/` module names.
 
-Run from anywhere, on demand; it is not part of tier-1 and reads only the
-source, so it takes well under a second:
+Run from anywhere. It reads only the source, so it takes well under a
+second, and `tests/test_tools.py` runs it in tier-1 and pins the list it
+prints:
 
     python tools/unused.py
 

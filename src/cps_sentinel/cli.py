@@ -11,6 +11,7 @@ of its outputs: if one cannot be written, those already written are removed.
 
 import argparse
 import contextlib
+import ctypes
 import os
 import sys
 from dataclasses import asdict, replace
@@ -45,6 +46,16 @@ from .metrics import report_text, score
 from .pipeline import PipelineSettings, detect_frame, fit_pipeline, forecaster_size
 
 PROG = "cps-sentinel"
+
+# glibc serves a request above its mmap threshold with fresh pages, and gives
+# the heap's free top above its trim threshold back to the system. Left to
+# itself it raises them from 128 KB to the largest mmap'd block freed so far
+# (at most 32 MB) and twice that, so the train step's 0.2-0.3 MB temporaries
+# came from the heap or from fresh pages (a third slower) by what the process
+# happened to free earlier, such as a whole CSV file. Pinned at the ceiling,
+# they no longer depend on it.
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
 
 
 class UsageError(Exception):
@@ -285,7 +296,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _fix_heap_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds; elsewhere, do nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+    mallopt(-1, TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _fix_heap_thresholds()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -4,10 +4,11 @@ and windowing of frames.
 Every CSV table the package writes or reads goes through `csv_text` and
 `read_csv`, and every INI config through `read_config` and `read_section`;
 the modules that own a table or a section define its header or its keys.
-A plain file (printable ASCII without quotes) is parsed in one numpy pass,
-and any other file by `csv.reader`, with the same values and messages.
-Rows have one write path: their cells are joined, with the bytes
-`csv.writer` would write, and a text cell that it would quote raises.
+A plain file (printable ASCII without quotes) is parsed by numpy, one block
+of `ROW_BLOCK` rows at a time into preallocated columns, and any other file
+by `csv.reader`, whole, with the same values and messages. Rows have one
+write path: their cells are joined, `ROW_BLOCK` rows at a time, with the
+bytes `csv.writer` would write, and a text cell that it would quote raises.
 
 Every record hands out read-only arrays, stored by `freeze_arrays`; a
 `WindowBatch` holds zero-copy views into its frame.
@@ -22,6 +23,7 @@ import configparser
 import contextlib
 import csv
 import io
+import itertools
 import warnings
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -36,6 +38,9 @@ ATTACK_TOKEN = "Attack"
 # The sections a config may hold, besides one `attack.<name>` per attack.
 CONFIG_SECTIONS = ("paths", "forecaster", "detector", "ga", "seeds", "plant", "simulate")
 ATTACK_SECTION = "attack."
+
+ROW_BLOCK = 1024  # rows the plain reader parses, and `csv_text` renders, at a time
+_SCAN_BYTES = 1 << 16  # bytes per read of the plain reader's byte check
 
 
 class DataFormatError(ValueError):
@@ -168,12 +173,19 @@ def csv_text(header, columns) -> str:
     """CSV text: the header row, then one row per position of equal-length columns.
 
     Each row ends in a bare newline. The header goes through `csv.writer`,
-    which quotes a name where CSV needs it; the rows are `csv_lines`.
+    which quotes a name where CSV needs it; the rows are `csv_lines`, rendered
+    ROW_BLOCK at a time, so one block's cells are held at once.
     """
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
-    rows = "\n".join(csv_lines(columns))
-    return buf.getvalue() + rows + "\n" if rows else buf.getvalue()
+    text = buf.getvalue()
+    arrays = list(map(_column, columns))
+    for lo in range(0, min(map(len, arrays), default=0), ROW_BLOCK):
+        # CPython appends in place to a str that only this name refers to,
+        # so the text grows by a block without a copy of what it holds.
+        text += "\n".join(_rows(a[lo : lo + ROW_BLOCK] for a in arrays))
+        text += "\n"
+    return text
 
 
 def csv_lines(columns) -> list[str]:
@@ -185,21 +197,36 @@ def csv_lines(columns) -> list[str]:
     str. A text cell holding a comma, a quote or a line break raises
     ValueError, as `csv.writer` would quote it.
     """
-    return list(map(",".join, zip(*map(_cells, columns))))
+    return list(_rows(map(_column, columns)))
 
 
-def _cells(column) -> list[str]:
-    """Each value of `column` as one unquoted CSV cell."""
+def _rows(arrays):
+    """The joined rows of `_column` arrays."""
+    return map(",".join, zip(*map(_cells, arrays)))
+
+
+# The text `csv.writer` would quote: a comma, a quote and the line breaks.
+_QUOTED = np.array([ord(c) for c in ',"\r\n'], dtype=np.uint32)
+
+
+def _column(column) -> np.ndarray:
+    """`column` as an array of numbers or of text none of whose cells CSV quotes."""
     array = np.asarray(column)
+    if array.dtype.kind not in "fbiuU":
+        raise ValueError(f"cannot write a column of {array.dtype} as CSV")
+    if array.dtype.kind == "U" and np.isin(np.ascontiguousarray(array).view(np.uint32),
+                                           _QUOTED).any():
+        raise ValueError("a text cell holds a comma, a quote or a line break")
+    return array
+
+
+def _cells(array: np.ndarray) -> list[str]:
+    """Each value of a `_column` array as one unquoted CSV cell."""
     kind, values = array.dtype.kind, array.tolist()
     if kind == "f":
         return list(map(repr, values))
     if kind in "biu":
         return list(map(str, values))
-    if kind != "U":
-        raise ValueError(f"cannot write a column of {array.dtype} as CSV")
-    if not set(',"\r\n').isdisjoint("".join(values)):
-        raise ValueError("a text cell holds a comma, a quote or a line break")
     return values
 
 
@@ -311,11 +338,11 @@ def read_csv(path, what: str, layouts: dict) -> list[np.ndarray]:
     Every fault is a DataFormatError "{path}: malformed row N: reason",
     counting data rows from 1; the header is row 0.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    columns = _read_plain(data, layouts)
+    columns = _read_plain(path, layouts)
     if columns is not None:
         return columns
+    with open(path, "rb") as fh:
+        data = fh.read()
     header, *body = _csv_rows(path, data)
     cells = layouts.get(tuple(header))
     if cells is None:
@@ -343,37 +370,60 @@ def read_csv(path, what: str, layouts: dict) -> list[np.ndarray]:
         raise
 
 
-def _read_plain(data: bytes, layouts: dict) -> list[np.ndarray] | None:
-    """The columns `read_csv` gives for `data`, parsed by one np.loadtxt call,
-    or None unless that is certain to give them.
+def _read_plain(path, layouts: dict) -> list[np.ndarray] | None:
+    """The columns `read_csv` gives for the file at `path`, parsed by
+    np.loadtxt, or None unless that is certain to give them.
 
     It is certain for a file of printable ASCII without quotes (csv.reader
     then splits each line at its commas and nothing else), with a header in
     `layouts`, no line past csv's field size limit, a loadtxt type for every
     cell, and loadtxt succeeding without a warning on one record per line
-    (it would skip a blank line, which csv.reader rejects).
+    (it would skip a blank line, which csv.reader rejects). A first pass
+    checks the bytes and counts the rows; the second parses ROW_BLOCK rows
+    per loadtxt call into columns of that count, so no more of the file is
+    held at once.
     """
-    lines = data.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
-    if (len(lines) < 2 or data.translate(None, _PLAIN_BYTES)
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None
-    header, _, body = data.decode("ascii").partition("\n")
-    cells = layouts.get(tuple(header.split(",")))
-    if cells is None or not all(cell in _LOADTXT_TYPES for cell in cells):
-        return None
-    types = np.dtype([(f"f{i}", _LOADTXT_TYPES[cell]) for i, cell in enumerate(cells)])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            records = np.loadtxt(io.StringIO(body), dtype=types, delimiter=",",
-                                 comments=None, quotechar=None, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    if len(records) != len(lines) - 1:
-        return None
-    return [records[name].astype(dtype) for name, (_, dtype) in zip(types.names, cells)]
+    with open(path, "rb") as fh:
+        lines, end = 0, b"\n"
+        for chunk in iter(lambda: fh.read(_SCAN_BYTES), b""):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            lines, end = lines + chunk.count(b"\n"), chunk[-1:]
+        rows = lines + (end != b"\n") - 1  # the last line may lack its line end
+        if rows < 1:
+            return None
+        fh.seek(0)
+        header = fh.readline()
+        cells = layouts.get(tuple(header.decode("ascii").rstrip("\n").split(",")))
+        limit = csv.field_size_limit()
+        if (cells is None or not all(cell in _LOADTXT_TYPES for cell in cells)
+                or len(header) > limit):
+            return None
+        types = np.dtype([(f"f{i}", _LOADTXT_TYPES[cell]) for i, cell in enumerate(cells)])
+        columns = [np.empty(rows, dtype) for _, dtype in cells]
+        for lo in range(0, rows, ROW_BLOCK):
+            block = list(itertools.islice(fh, ROW_BLOCK))
+            # Counting line ends, this is stricter than the field size limit,
+            # which only sends a file at the limit to csv.reader.
+            if max(map(len, block)) > limit:
+                return None
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    records = np.loadtxt(block, dtype=types, delimiter=",",
+                                         comments=None, quotechar=None, ndmin=1)
+            except (ValueError, Warning):
+                return None
+            if len(records) != len(block):
+                return None
+            for i, (name, (_, dtype)) in enumerate(zip(types.names, cells)):
+                values = records[name].astype(dtype)
+                if values.itemsize > columns[i].itemsize:  # a token longer than those before
+                    wider = np.empty(rows, values.dtype)
+                    wider[:lo] = columns[i][:lo]
+                    columns[i] = wider
+                columns[i][lo : lo + len(values)] = values
+    return columns
 
 
 def reject_rows(path, bad: np.ndarray, column: np.ndarray, reason: str) -> None:
@@ -405,8 +455,12 @@ def load_csv(path, schema: ChannelSchema) -> TimeSeriesFrame:
         tokens = values.pop()
         labels = tokens == ATTACK_TOKEN
         reject_rows(path, ~labels & (tokens != NORMAL_TOKEN), tokens, "unknown label token")
+        del tokens
+    # Rebinding drops the columns as soon as they are stacked, so at most
+    # twice the frame's values is ever held.
+    values = np.column_stack(values)
     try:
-        return TimeSeriesFrame(schema, timestamps, np.column_stack(values), labels)
+        return TimeSeriesFrame(schema, timestamps, values, labels)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 

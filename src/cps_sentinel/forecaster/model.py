@@ -16,7 +16,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-PREDICT_CHUNK = 1024  # windows per inference forward; its activations stay in cache
+# Inference: each thread takes PREDICT_CHUNK windows at a time, so fewer windows
+# start no helper thread, and forwards them FORWARD_BLOCK at a time, which bounds
+# a thread's activations (0.8 MB a layer for 256 12-step windows of 32 filters).
+# A multiple of 4 keeps the bits of a whole-frame forward (see _forward_chunks).
+PREDICT_CHUNK = 1024
+FORWARD_BLOCK = 256
 MAE_BLOCK = 4096  # windows per partial sum of the validation MAE; history.csv's bytes rest on it
 
 
@@ -235,14 +240,22 @@ def adam_step(model: CnnModel, grads: list[np.ndarray], learning_rate: float) ->
     model.flat_params -= step
 
 
+def _split(windows: np.ndarray, size: int) -> list[np.ndarray]:
+    """`windows` in runs of `size`; a lone leftover window joins the last run."""
+    return np.split(windows, range(size, len(windows) - 1, size))
+
+
 def _forward_chunks(model: CnnModel, inputs: np.ndarray) -> np.ndarray:
     """model.forward over chunks of PREDICT_CHUNK windows on the caller and one
     helper thread per further CPU, each taking the next chunk none has taken. One
     chunk starts no helper, nor does a multiprocessing child such as a GA worker,
     whose siblings (one per GA thread) share the CPUs. After a chunk raises, no
-    thread starts another; helpers end before this returns. A lone leftover window
-    joins the last chunk: alone, BLAS's one-row path would give it other bits."""
-    chunks = np.split(inputs, range(PREDICT_CHUNK, len(inputs) - 1, PREDICT_CHUNK))
+    thread starts another; helpers end before this returns. A thread forwards its
+    chunk in blocks of FORWARD_BLOCK windows. A lone leftover window joins the
+    last chunk, and the last block of its chunk: alone, BLAS's one-row path would
+    give it other bits, as OpenBLAS gives a model of 3 channels in blocks of 2, 3
+    or 5 windows, but not of a multiple of 4."""
+    chunks = _split(inputs, PREDICT_CHUNK)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     helpers = min(len(chunks), cpus or 1) - 1
     if helpers:
@@ -254,7 +267,7 @@ def _forward_chunks(model: CnnModel, inputs: np.ndarray) -> np.ndarray:
     def run() -> None:
         try:
             for i in untaken:
-                outputs[i] = model.forward(chunks[i])
+                outputs[i] = [model.forward(block) for block in _split(chunks[i], FORWARD_BLOCK)]
         except BaseException:
             for _ in untaken:  # take every chunk left, so no thread starts another
                 pass
@@ -265,7 +278,7 @@ def _forward_chunks(model: CnnModel, inputs: np.ndarray) -> np.ndarray:
         run()
         for helper in started:
             helper.result()
-    return np.concatenate(outputs)
+    return np.concatenate([block for blocks in outputs for block in blocks])
 
 
 def _batched_mae(model: CnnModel, inputs: np.ndarray, targets: np.ndarray) -> float:

@@ -9,6 +9,7 @@ import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ def workspace(tmp_path_factory):
     train_cfg.write_text(train_ini(data_dir, tmp_path))
     assert main(["train", "--config", str(train_cfg)]) == 0
     return tmp_path
+
+
+def test_main_pins_the_allocator_thresholds_where_libc_has_mallopt(monkeypatch):
+    """glibc's mmap and trim thresholds are set before anything runs; a C
+    library without mallopt, or none, is left alone."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    libraries = iter([SimpleNamespace(mallopt=mallopt), SimpleNamespace()])
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: next(libraries))
+    assert main(["frobnicate"]) == 1
+    assert calls == [(-3, cli.MMAP_THRESHOLD), (-1, cli.TRIM_THRESHOLD)]
+    assert main(["frobnicate"]) == 1
+    assert len(calls) == 2
 
 
 def test_usage_errors_exit_1(capsys):

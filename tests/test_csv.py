@@ -383,3 +383,68 @@ def test_the_package_reads_its_own_tables_in_one_numpy_pass(monkeypatch, tmp_pat
     back = read_error_series(tmp_path / "errors.csv")
     np.testing.assert_array_equal(back.target_indices, series.target_indices)
     np.testing.assert_array_equal(bits(back.errors), bits(series.errors))
+
+
+# --- the plain reader at its block boundaries ---------------------------------
+
+BLOCK = dataio.ROW_BLOCK
+LABELLED = ("Timestamp", "A", "B", "Normal/Attack")
+
+
+def block_lines(rows):
+    """The header of LABELLED and `rows` data rows the writer could write."""
+    return [list(LABELLED), *([str(i), repr(i / 3), repr(-i * 0.1), ("Normal", "Attack")[i % 7 == 0]]
+                              for i in range(rows))]
+
+
+def read_by_numpy(monkeypatch, path):
+    """`outcome` of read_csv, failing if it hands the file to csv.reader."""
+    def general_path(path, data):
+        raise AssertionError(f"{path} was read by csv.reader")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dataio, "_csv_rows", general_path)
+        return outcome(read_csv, path)
+
+
+@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("trailing", [True, False])
+def test_plain_files_of_one_block_and_around_it_read_in_numpy(monkeypatch, rows, trailing):
+    with scratch_file(csv_bytes(block_lines(rows), trailing=trailing)) as path:
+        assert read_by_numpy(monkeypatch, path) == outcome(oracles.read_csv, path)
+
+
+def test_a_longer_token_in_a_later_block_widens_the_column(monkeypatch):
+    """The token column takes the width of its longest token, wherever it is."""
+    lines = block_lines(BLOCK + 2)
+    lines[BLOCK + 2][3] = "Attackers"
+    with scratch_file(csv_bytes(lines)) as path:
+        got = read_by_numpy(monkeypatch, path)
+        assert got == outcome(oracles.read_csv, path)
+    assert got[3][0] == np.dtype("U9").str
+
+
+def _in_row(lines, column, token):
+    """The file with data row BLOCK + 1, the second block's first, holding
+    `token` in `column`."""
+    lines[BLOCK + 1][column] = token
+    return csv_bytes(lines)
+
+
+# Faults placed in the second block's first row: each must fall back to
+# csv.reader, which names the absolute row.
+SECOND_BLOCK_FAULTS = {
+    "bad field": lambda lines: _in_row(lines, 1, "x"),
+    "blank line": lambda lines: csv_bytes([*lines[:BLOCK + 1], [""], *lines[BLOCK + 1:]]),
+    "non-ASCII character": lambda lines: _in_row(lines, 2, "1.5\xe9"),
+    "invalid UTF-8": lambda lines: csv_bytes(lines[:BLOCK + 1]) + b"\xff"
+                                   + csv_bytes(lines[BLOCK + 1:]),
+}
+
+
+@pytest.mark.parametrize("fault", list(SECOND_BLOCK_FAULTS))
+def test_a_fault_in_the_second_block_names_its_absolute_row(fault):
+    with scratch_file(SECOND_BLOCK_FAULTS[fault](block_lines(2 * BLOCK))) as path:
+        got = outcome(read_csv, path)
+        assert got == outcome(oracles.read_csv, path)
+    assert isinstance(got, str) and f": malformed row {BLOCK + 1}: " in got

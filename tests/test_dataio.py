@@ -1,15 +1,19 @@
 import re
+import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cps_sentinel.dataio import (
+    ROW_BLOCK,
     ChannelSchema,
     DataFormatError,
     MinMaxScaler,
     TimeSeriesFrame,
     apply_minmax,
+    csv_text,
     fit_minmax,
     load_csv,
     make_windows,
@@ -321,3 +325,50 @@ def test_schema_validation():
         ChannelSchema(names=())
     with pytest.raises(ValueError, match="non-empty"):
         ChannelSchema(names=("A", ""))
+
+
+# --- memory: the reader and the writer hold one block of rows at a time ------
+
+MEMORY_ROWS = 40_000
+
+
+def traced_peak(fn, *args):
+    """What fn(*args) returns, and the peak of the memory tracemalloc traced
+    while it ran. A first, untraced call keeps one-time costs out of it."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def labelled_trace(rows):
+    """A trace of 8 channels whose every 400 rows end in 50 attack rows."""
+    values = Rng(3).uniform_array(rows * 8).reshape(rows, 8)
+    return make_frame(values, labels=np.arange(rows) % 400 >= 350)
+
+
+def test_load_csv_holds_twice_its_frame_and_one_block(tmp_path):
+    """load_csv's peak is at most twice the frame it returns, plus the peak
+    of loading a file of one block's rows."""
+    whole, block = labelled_trace(MEMORY_ROWS), labelled_trace(ROW_BLOCK)
+    save_csv(whole, tmp_path / "whole.csv")
+    save_csv(block, tmp_path / "block.csv")
+    _, block_peak = traced_peak(load_csv, tmp_path / "block.csv", block.schema)
+    frame, peak = traced_peak(load_csv, tmp_path / "whole.csv", whole.schema)
+    returned = frame.timestamps.nbytes + frame.values.nbytes + frame.labels.nbytes
+    assert peak <= 2 * returned + block_peak
+
+
+def test_csv_text_holds_its_text_and_one_block():
+    """csv_text's peak is at most the text it returns, plus the peak of
+    rendering one block's rows. (Under a trace function, as coverage tools
+    set, CPython copies the text at each block instead of growing it.)"""
+    def columns(frame):
+        return [frame.timestamps, *frame.values.T, np.where(frame.labels, "Attack", "Normal")]
+
+    header = [f"c{i}" for i in range(10)]
+    _, block_peak = traced_peak(csv_text, header, columns(labelled_trace(ROW_BLOCK)))
+    text, peak = traced_peak(csv_text, header, columns(labelled_trace(MEMORY_ROWS)))
+    assert peak <= sys.getsizeof(text) + block_peak

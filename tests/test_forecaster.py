@@ -29,7 +29,7 @@ from cps_sentinel.forecaster.layers import (
     MaxPool1DLayer,
     _activate_in_place,
 )
-from cps_sentinel.forecaster.model import PREDICT_CHUNK, _forward_chunks
+from cps_sentinel.forecaster.model import FORWARD_BLOCK, PREDICT_CHUNK, _forward_chunks
 from cps_sentinel.dataio import WindowBatch, make_windows
 from cps_sentinel.pipeline import PipelineSettings, build_forecaster
 from cps_sentinel.rng import Rng
@@ -696,29 +696,39 @@ def use_cpus(monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-def serial_chunk_forward(model, inputs):
-    """One forward per PREDICT_CHUNK windows on this thread, a lone leftover
-    window joining the last chunk."""
-    bounds = range(PREDICT_CHUNK, len(inputs) - 1, PREDICT_CHUNK)
-    return np.concatenate([model.forward(chunk) for chunk in np.split(inputs, bounds)])
+def serial_blocks(inputs):
+    """The blocks `_forward_chunks` forwards: FORWARD_BLOCK windows at a time
+    of each PREDICT_CHUNK chunk, a lone leftover window joining the last
+    block of the last chunk."""
+    chunks = np.split(inputs, range(PREDICT_CHUNK, len(inputs) - 1, PREDICT_CHUNK))
+    return [block for chunk in chunks
+            for block in np.split(chunk, range(FORWARD_BLOCK, len(chunk) - 1, FORWARD_BLOCK))]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, ("cpu_count", 2), ("cpu_count", None)])
-@pytest.mark.parametrize("n, chunks", [(1, 1), (1025, 1), (2049, 2), (5000, 5)])
+@pytest.mark.parametrize("n, chunks", [
+    (1, 1),
+    (PREDICT_CHUNK + 1, 1),
+    (2 * PREDICT_CHUNK + 1, 2),
+    (4 * PREDICT_CHUNK + 3 * FORWARD_BLOCK + 136, 5),
+])
 def test_forward_chunks_has_the_bits_of_a_serial_chunk_forward(monkeypatch, cpus, n, chunks):
-    """1,025 windows make one chunk (the lone window joins). The caller and
-    min(chunks, CPUs) - 1 helpers each forward chunks, so one chunk starts
-    no thread."""
+    """PREDICT_CHUNK + 1 windows make one chunk (the lone window joins). The
+    caller and min(chunks, CPUs) - 1 helpers each forward chunks, block by
+    block, so one chunk starts no thread."""
     model = build_model(4, 2, SMALL_STACK, seed=3)
     inputs = Rng(n).uniform_array(n * 8).reshape(n, 4, 2)
-    expected = serial_chunk_forward(model, inputs)
+    blocks = serial_blocks(inputs)
+    expected = np.concatenate([model.forward(block) for block in blocks])
     use_cpus(monkeypatch, cpus)
     step = min(chunks, (cpus[1] or 1) if isinstance(cpus, tuple) else cpus)
-    # Each thread's first chunk waits until every thread has taken one, so no
-    # thread can take all the chunks before the others start.
-    forward, threads, barrier = model.forward, set(), threading.Barrier(step, timeout=10)
+    # Each thread's first forward waits until every thread has taken a chunk,
+    # so no thread can take all the chunks before the others start.
+    forward, threads, sizes = model.forward, set(), []
+    barrier = threading.Barrier(step, timeout=10)
 
     def recorded_forward(x):
+        sizes.append(len(x))
         if threading.get_ident() not in threads:
             threads.add(threading.get_ident())
             barrier.wait()
@@ -728,9 +738,28 @@ def test_forward_chunks_has_the_bits_of_a_serial_chunk_forward(monkeypatch, cpus
     threads_before = threading.active_count()
     got = _forward_chunks(model, inputs)
     assert got.tobytes() == expected.tobytes()
+    assert sorted(sizes) == sorted(map(len, blocks))
     assert len(threads) == step
     assert threading.get_ident() in threads
     assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (FORWARD_BLOCK + 1, [FORWARD_BLOCK + 1]),
+    (2 * FORWARD_BLOCK + 2, [FORWARD_BLOCK, FORWARD_BLOCK, 2]),
+    (PREDICT_CHUNK + 1, [FORWARD_BLOCK] * (PREDICT_CHUNK // FORWARD_BLOCK - 1) + [FORWARD_BLOCK + 1]),
+])
+def test_a_lone_leftover_window_joins_the_last_block(monkeypatch, n, sizes):
+    """FORWARD_BLOCK + 1 windows forward as one block, not as FORWARD_BLOCK
+    and 1, which BLAS's one-row path could give other bits."""
+    model = build_model(4, 2, SMALL_STACK, seed=3)
+    inputs = Rng(n).uniform_array(n * 8).reshape(n, 4, 2)
+    expected = np.concatenate([model.forward(block) for block in serial_blocks(inputs)])
+    forward, calls = model.forward, []
+    monkeypatch.setattr(model, "forward", lambda x: calls.append(len(x)) or forward(x))
+    use_cpus(monkeypatch, 1)
+    assert _forward_chunks(model, inputs).tobytes() == expected.tobytes()
+    assert calls == sizes
 
 
 def test_forward_chunks_forwards_each_chunk_once_under_thread_switches(monkeypatch):
@@ -759,10 +788,11 @@ def test_forward_chunks_forwards_each_chunk_once_under_thread_switches(monkeypat
 @pytest.mark.parametrize(
     "fault", ["last-layer bias", "the last window", "the caller's chunk", "a helper's chunk"])
 def test_no_helper_thread_outlives_a_raising_chunk(monkeypatch, fault):
-    """20 chunks on 2 CPUs. A NaN bias raises in every chunk, so each thread
-    forwards one; a NaN last window raises after all 20. When one thread's
-    chunk raises, the other's forwards wait until the raising thread has left
-    its loop: the other may then finish the chunk it holds, and take no more."""
+    """20 chunks on 2 CPUs. A NaN bias raises in every block, so each thread
+    forwards one; a NaN last window raises after every block of all 20 chunks.
+    When one thread's block raises, the other's forwards wait until the
+    raising thread has left its loop: the other may then finish the blocks of
+    the chunk it holds, and take no more chunks."""
     import cps_sentinel.forecaster.model as fm
 
     model = build_model(4, 2, SMALL_STACK, seed=3)
@@ -808,11 +838,14 @@ def test_no_helper_thread_outlives_a_raising_chunk(monkeypatch, fault):
     with pytest.raises(FloatingPointError, match="non-finite forecaster output"):
         _forward_chunks(model, inputs)
     assert threading.active_count() == threads_before
+    blocks_per_chunk = PREDICT_CHUNK // FORWARD_BLOCK
     if fault == "the last window":
-        assert len(calls) == 20
-    else:
+        assert len(calls) == 20 * blocks_per_chunk
+    elif raiser is None:
         assert len(calls) <= 2
-        assert raiser is None or calls.count(raiser) == 1
+    else:
+        assert calls.count(raiser) == 1
+        assert len(calls) - 1 <= blocks_per_chunk
 
 
 def test_the_ga_forks_after_every_helper_of_a_prediction_ended(monkeypatch):

@@ -25,3 +25,16 @@ def test_unused_lists_only_the_known_public_names():
         listed.add((path, definition.strip()))
     assert listed == UNUSED
     assert total.startswith(f"{len(UNUSED)} of ")
+
+
+def test_memory_prints_a_peak_for_each_detect_stage():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "memory.py"),
+                           "--rows", "300", "--channels", "2"],
+                          capture_output=True, text=True, check=True)
+    title, columns, *rows = proc.stdout.splitlines()
+    assert title.startswith("300 rows x 2 channels, ")
+    assert columns.split() == ["stage", "peak_mb", "returned_mb", "seconds"]
+    assert [row.split()[0] for row in rows] == [
+        "load_csv", "detect_frame", "verdict_csv", "error_series_csv"]
+    for row in rows:
+        assert all(float(cell) >= 0 for cell in row.split()[1:])
